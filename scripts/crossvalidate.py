@@ -1,10 +1,11 @@
 """Randomized cross-validation of the combinatorial calculus against the
 dense operator oracle.
 
-For each random type, every (input, output) contraction is decided three
-ways: by the signalling algorithm, by the critical-set test, and by brute
-numerics (sampled maps must contract to channels, or an explicit witness
-map must break the channel law).  Any disagreement is a bug.
+For each random type, ``hotypes.verify`` decides every (input, output)
+contraction three ways: by the signalling algorithm, by the critical-set
+test, and by brute numerics (sampled maps must contract to channels without
+signalling from the closed input, or an explicit witness map must break the
+channel law).  Any disagreement is a bug.
 """
 
 from __future__ import annotations
@@ -13,22 +14,7 @@ import argparse
 import random
 import sys
 
-from hotypes import (
-    Arrow,
-    ContractionSpec,
-    Elementary,
-    Label,
-    Relation,
-    bar,
-    check_contraction,
-    io_partition,
-    numeric_contraction,
-    sample_deterministic,
-    signals,
-    tensor,
-    violation_witness,
-)
-from hotypes.oracle import channel_violation_margin, is_channel
+from hotypes import Arrow, Elementary, Label, bar, io_partition, tensor, verify
 
 NAMES = [c for c in "ABCDEFGHJKLMNOPQRSTUVWXYZ"]
 
@@ -74,37 +60,14 @@ def main() -> int:
     disagreements = 0
     for index in range(args.types):
         x = random_type_with_io(rng, args.max_systems, (2,))
-        analysis = io_partition(x)
-        samples = [
-            sample_deterministic(x, seed=args.seed + 1000 * index + t)
-            for t in range(args.trials)
-        ]
-        for a in analysis.inputs_ordered():
-            for b in analysis.outputs_ordered():
-                pairs_checked += 1
-                verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
-                relation = signals(x, a, b).relation
-                if verdict.admissible != (relation is Relation.NO_SIGNALLING):
-                    disagreements += 1
-                    print(f"DISAGREE (structural) {x} {a.name}:{b.name}")
-                    continue
-                if verdict.admissible:
-                    ins = [s.name for s in verdict.result_in]
-                    outs = [s.name for s in verdict.result_out]
-                    for sample in samples:
-                        contracted = numeric_contraction(sample, a, b)
-                        if not is_channel(contracted, ins, outs, args.tol):
-                            disagreements += 1
-                            print(f"DISAGREE (numeric) {x} {a.name}:{b.name}")
-                            break
-                else:
-                    witness = violation_witness(x, a, b)
-                    contracted = numeric_contraction(witness, a, b)
-                    ins = [s.name for s in analysis.inputs_ordered() if s != a]
-                    outs = [s.name for s in analysis.outputs_ordered() if s != b]
-                    if channel_violation_margin(contracted, ins, outs) < 10 * args.tol:
-                        disagreements += 1
-                        print(f"DISAGREE (no violation) {x} {a.name}:{b.name}")
+        report = verify(x, trials=args.trials, seed=args.seed + 1000 * index, tol=args.tol)
+        pairs_checked += len(report.pairs)
+        disagreements += report.failures
+        if not (report.lambda_ok and report.basis_ok):
+            print(f"DISAGREE (normalization or basis dimension) {x}")
+        for entry in report.pairs:
+            if "error" in entry:
+                print(f"DISAGREE ({entry['error']}) {x} {entry['pair']}")
 
     print(
         f"{args.types} types, {pairs_checked} contractions, "

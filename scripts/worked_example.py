@@ -14,14 +14,11 @@ from hotypes import (
     check_contraction,
     critical_set_multi,
     io_partition,
-    numeric_contraction,
     parse_type,
     render_type,
-    sample_deterministic,
     signalling_matrix,
-    violation_witness,
+    verify,
 )
-from hotypes.oracle import channel_defects, channel_violation_margin
 
 
 def main() -> None:
@@ -54,17 +51,10 @@ def main() -> None:
     print()
 
     print("numerical confirmation (20 seeded samples):")
-    worst = 0.0
-    for seed in range(20):
-        sample = sample_deterministic(x, seed=seed)
-        contracted = numeric_contraction(sample, "C", "B")
-        negativity, deviation = channel_defects(contracted, ["A"], ["D"])
-        worst = max(worst, negativity, deviation)
-    print(f"  chaining B into C: worst channel residual {worst:.3g}")
-
-    witness = violation_witness(x, "A", "B")
-    margin = channel_violation_margin(numeric_contraction(witness, "A", "B"), ["C"], ["D"])
-    print(f"  looping B back into A: explicit map breaks the channel law by {margin:.3g}")
+    pairs = ContractionSpec.from_text("C:B", x).pairs + ContractionSpec.from_text("A:B", x).pairs
+    chain, loop = verify(x, pairs, trials=20).pairs
+    print(f"  chaining B into C: worst channel residual {chain['worst_channel_residual']:.3g}")
+    print(f"  looping B back into A: explicit map breaks the channel law by {loop['violation_margin']:.3g}")
 
 
 if __name__ == "__main__":

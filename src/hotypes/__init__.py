@@ -35,14 +35,11 @@ from .strings import (
     build_D,
     complement_bar,
     complement_perp,
-    compose_sets,
     concat,
     contract_set,
-    contract_word,
     critical_set,
     critical_set_multi,
     full_set,
-    tensor_D_closed_form,
     traceless_set,
 )
 from .admissibility import (
@@ -53,14 +50,11 @@ from .admissibility import (
     check_contraction,
     check_equivalence,
     check_inclusion,
-    check_monotonicity,
-    supermap_inclusion_form,
 )
 from .signalling import (
     Relation,
     SignallingVerdict,
     crosscheck,
-    full_signalling,
     signalling_matrix,
     signals,
 )
@@ -78,6 +72,7 @@ from .oracle import (
     numeric_contraction,
     phi_operator,
     sample_deterministic,
+    verify,
     violation_witness,
 )
 

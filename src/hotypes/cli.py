@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .admissibility import (
     ContractionSpec,
@@ -22,17 +21,8 @@ from .admissibility import (
     check_equivalence,
     check_inclusion,
 )
-from .oracle import (
-    basis_for_words,
-    channel_violation_margin,
-    is_channel,
-    channel_defects,
-    nosignalling_defect,
-    numeric_contraction,
-    sample_deterministic,
-    violation_witness,
-)
-from .signalling import Relation, crosscheck, signalling_matrix, signals
+from .oracle import verify
+from .signalling import crosscheck, signalling_matrix
 from .strings import build_D
 from .type_core import (
     TypeExpr,
@@ -176,7 +166,7 @@ def cmd_signalling(args, dims: dict[str, int]) -> int:
     if rows:
         width = max(len(r.source.name) for r in rows)
         for row in rows:
-            mark = {"no-signalling": "-/->", "full-signalling": "==>", "signalling": "-->"}[row.relation.value]
+            mark = {"no-signalling": "-/->", "full-signalling": "==>"}[row.relation.value]
             lines.append(
                 f"{row.source.name:>{width}} {mark:>4} {row.target.name:<4} "
                 f"{row.relation.value:<16} via {render_type(row.enclosing, sugar=True)}"
@@ -191,129 +181,24 @@ def cmd_signalling(args, dims: dict[str, int]) -> int:
     return 0
 
 
-def _counting_dimension(x: TypeExpr) -> int:
-    total = 0
-    words = build_D(x)
-    for word in words:
-        size = 1
-        for i, a in enumerate(words.universe):
-            bit = (word.bits >> i) & 1
-            size *= 1 if bit else a.dimension**2 - 1
-        total += size
-    return total
-
-
 def cmd_oracle_verify(args, dims: dict[str, int]) -> int:
     start = time.perf_counter()
     x, _ = _parse(args.type, dims)
-    analysis = io_partition(x)
-    closed_form = Fraction(1)
-    for a in analysis.outputs:
-        closed_form /= a.dimension
-    lambda_ok = analysis.lam == closed_form
-    basis = basis_for_words(build_D(x))
-    basis_ok = len(basis) == _counting_dimension(x)
-
-    pair_reports = []
-    failures = 0 if (lambda_ok and basis_ok) else 1
-    if args.trials > 0:
-        if args.pairs:
-            spec = ContractionSpec.from_text(args.pairs, x)
-            pairs = list(spec.pairs)
-        else:
-            pairs = [
-                (a, b)
-                for a in analysis.inputs_ordered()
-                for b in analysis.outputs_ordered()
-                if a.dimension == b.dimension
-            ]
-        input_names = {s.name for s in analysis.inputs}
-        for a, b in pairs:
-            verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
-            entry: dict = {
-                "pair": f"{a.name}:{b.name}",
-                "admissible": verdict.admissible,
-                "reason": verdict.reason.value,
-            }
-            if verdict.witness is None and not verdict.admissible:
-                # rejected on roles alone (both inputs or both outputs);
-                # there is no signalling relation to compare against
-                pair_reports.append(entry)
-                continue
-            if a.name not in input_names:
-                a, b = b, a
-            relation = signals(x, a, b)
-            entry["relation"] = relation.relation.value
-            if verdict.admissible != (relation.relation is Relation.NO_SIGNALLING):
-                entry["error"] = "signalling algorithm disagrees with critical-set verdict"
-                failures += 1
-            elif verdict.admissible:
-                remaining_in = _label_names(verdict.result_in)
-                remaining_out = _label_names(verdict.result_out)
-                worst_channel = 0.0
-                worst_nosig = 0.0
-                bad = 0
-                for trial in range(args.trials):
-                    sample = sample_deterministic(x, seed=args.seed + trial)
-                    contracted = numeric_contraction(sample, a, b)
-                    negativity, deviation = channel_defects(contracted, remaining_in, remaining_out)
-                    worst_channel = max(worst_channel, negativity, deviation)
-                    nosig = nosignalling_defect(
-                        sample,
-                        analysis.inputs_ordered(),
-                        analysis.outputs_ordered(),
-                        a,
-                        b,
-                    )
-                    worst_nosig = max(worst_nosig, nosig)
-                    if not is_channel(contracted, remaining_in, remaining_out, args.tol):
-                        bad += 1
-                entry.update(
-                    trials=args.trials,
-                    channel_failures=bad,
-                    worst_channel_residual=worst_channel,
-                    worst_nosignalling_residual=worst_nosig,
-                )
-                if bad or worst_nosig > args.tol:
-                    failures += 1
-            else:
-                witness = violation_witness(x, a, b)
-                contracted = numeric_contraction(witness, a, b)
-                remaining_in = [s.name for s in analysis.inputs_ordered() if s.name != a.name]
-                remaining_out = [s.name for s in analysis.outputs_ordered() if s.name != b.name]
-                margin = channel_violation_margin(contracted, remaining_in, remaining_out)
-                signal_size = nosignalling_defect(
-                    witness,
-                    analysis.inputs_ordered(),
-                    analysis.outputs_ordered(),
-                    a,
-                    b,
-                )
-                entry.update(
-                    violation_margin=margin,
-                    witness_signalling_size=signal_size,
-                )
-                if margin < 10 * args.tol:
-                    failures += 1
-                    entry["error"] = "violation margin too small"
-            pair_reports.append(entry)
-
+    pairs = ContractionSpec.from_text(args.pairs, x).pairs if args.pairs else None
+    result = verify(x, pairs, trials=args.trials, seed=args.seed, tol=args.tol)
     report = {
         "command": "oracle verify",
         "input_types": [args.type],
         "seed": args.seed,
         "tol": args.tol,
-        "lambda_recursion_matches_closed_form": lambda_ok,
-        "deviation_basis_dimension_matches": basis_ok,
-        "pairs": pair_reports,
-        "failures": failures,
+        **result.to_json(),
         "timing_ms": (time.perf_counter() - start) * 1000,
     }
     lines = [
-        f"lambda check: {'ok' if lambda_ok else 'FAIL'}",
-        f"basis dimension check: {'ok' if basis_ok else 'FAIL'} ({len(basis)} elements)",
+        f"lambda check: {'ok' if result.lambda_ok else 'FAIL'}",
+        f"basis dimension check: {'ok' if result.basis_ok else 'FAIL'} ({result.basis_size} elements)",
     ]
-    for entry in pair_reports:
+    for entry in result.pairs:
         if "error" in entry:
             lines.append(f"pair {entry['pair']}: FAIL ({entry['error']})")
         elif entry["admissible"]:
@@ -329,9 +214,9 @@ def cmd_oracle_verify(args, dims: dict[str, int]) -> int:
             )
         else:
             lines.append(f"pair {entry['pair']}: inadmissible ({entry['reason']})")
-    lines.append(f"failures: {failures}")
+    lines.append(f"failures: {result.failures}")
     _emit(report, args.json, lines)
-    return 0 if failures == 0 else 1
+    return 0 if result.failures == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: type nests too deeply", file=sys.stderr)
         return 2
 
 

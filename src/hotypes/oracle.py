@@ -10,6 +10,7 @@ no-signalling tests used to validate combinatorial verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
@@ -17,10 +18,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .admissibility import ContractionSpec, check_contraction
+from .signalling import Relation, signals
 from .strings import WordSet, build_D, canonical_universe
 from .type_core import Label, TypeExpr, io_partition
 
 DIMENSION_GUARD = 256
+BASIS_BYTES = 1 << 30
 
 
 def _dims(labels: Sequence[Label]) -> tuple[int, ...]:
@@ -40,7 +43,6 @@ class OperatorMatrix:
 
     labels: tuple[Label, ...]
     data: np.ndarray
-    tol: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -248,15 +250,33 @@ def _guard(labels: Sequence[Label]) -> None:
         )
 
 
-@lru_cache(maxsize=256)
+def basis_dimension(words: WordSet) -> int:
+    """Number of elements ``basis_for_words`` builds, counted without
+    building them: each word contributes d^2 - 1 per 0 bit."""
+    total = 0
+    for word in words:
+        size = 1
+        for i, a in enumerate(words.universe):
+            if not (word.bits >> i) & 1:
+                size *= a.dimension**2 - 1
+        total += size
+    return total
+
+
+@lru_cache(maxsize=2)
 def basis_for_words(words: WordSet) -> SubspaceBasis:
     """Orthonormal basis of the subspace spanned by the word set: traceless
     factors where a bit is 0, the normalized identity where it is 1.
 
-    Cached per word set; callers must treat the elements as read-only.
+    Refuses before allocating when the dense elements would exceed
+    ``BASIS_BYTES``.  Cached per word set (one type and one comparison
+    target); callers must treat the elements as read-only.
     """
     labels = words.universe
     _guard(labels)
+    size = basis_dimension(words) * _side(labels) ** 2 * 16
+    if size > BASIS_BYTES:
+        raise ValueError(f"deviation basis needs {size} bytes, over the budget of {BASIS_BYTES}")
     factor_options: dict[tuple[str, int], list[np.ndarray]] = {}
     for a in labels:
         factor_options[(a.name, 0)] = _gellmann_traceless(a.dimension)
@@ -460,6 +480,107 @@ def violation_witness(x: TypeExpr, a: Label | str, b: Label | str) -> OperatorMa
         epsilon /= 2
         data = lam * np.eye(side) + epsilon * factor
     return OperatorMatrix(labels, data)
+
+
+# --- the three-way check -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """Outcome of ``verify``: one JSON-ready entry per checked pair, which
+    carries ``error`` exactly when that pair failed."""
+
+    lambda_ok: bool
+    basis_ok: bool
+    basis_size: int
+    pairs: tuple[dict, ...]
+    failures: int
+
+    def to_json(self) -> dict:
+        return {
+            "lambda_recursion_matches_closed_form": self.lambda_ok,
+            "deviation_basis_dimension_matches": self.basis_ok,
+            "pairs": list(self.pairs),
+            "failures": self.failures,
+        }
+
+
+def verify(
+    x: TypeExpr,
+    pairs: Iterable[tuple[Label, Label]] | None = None,
+    trials: int = 50,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> VerifyReport:
+    """Check the calculus on x against the numerics.
+
+    The normalization scalar is compared with its closed form and the
+    deviation basis with its counted dimension.  Unless trials is 0, each
+    pair (default: every input/output pair of equal dimension) is then
+    checked three ways: the structural signalling relation against the
+    critical-set verdict; for an admissible pair, the channel and
+    no-signalling residuals on the samples ``seed + trial``, each drawn
+    once for all pairs; for an inadmissible pair, the channel violation of
+    the witness map.
+    """
+    analysis = io_partition(x)
+    inputs, outputs = analysis.inputs_ordered(), analysis.outputs_ordered()
+    lambda_ok = analysis.lam == Fraction(1, _side(outputs))
+    words = build_D(x)
+    basis_size = len(basis_for_words(words))
+    basis_ok = basis_size == basis_dimension(words)
+    if trials <= 0:
+        pairs = []
+    elif pairs is None:
+        pairs = [(a, b) for a in inputs for b in outputs if a.dimension == b.dimension]
+    input_names = {a.name for a in inputs}
+    entries: list[dict] = []
+    sampled: list[tuple[dict, Label, Label, list[str], list[str]]] = []
+    for a, b in pairs:
+        verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
+        entry = {"pair": f"{a.name}:{b.name}", "admissible": verdict.admissible,
+                 "reason": verdict.reason.value}
+        entries.append(entry)
+        if verdict.witness is None and not verdict.admissible:
+            # rejected on roles alone (both inputs or both outputs);
+            # there is no signalling relation to compare against
+            continue
+        if a.name not in input_names:
+            a, b = b, a
+        relation = signals(x, a, b).relation
+        entry["relation"] = relation.value
+        if verdict.admissible != (relation is Relation.NO_SIGNALLING):
+            entry["error"] = "signalling algorithm disagrees with critical-set verdict"
+        elif verdict.admissible:
+            entry.update(trials=trials, channel_failures=0, worst_channel_residual=0.0,
+                         worst_nosignalling_residual=0.0)
+            rest_in = [s.name for s in verdict.result_in]
+            rest_out = [s.name for s in verdict.result_out]
+            sampled.append((entry, a, b, rest_in, rest_out))
+        else:
+            witness = violation_witness(x, a, b)
+            rest_in = [s.name for s in inputs if s.name != a.name]
+            rest_out = [s.name for s in outputs if s.name != b.name]
+            margin = channel_violation_margin(numeric_contraction(witness, a, b), rest_in, rest_out)
+            entry.update(violation_margin=margin,
+                         witness_signalling_size=nosignalling_defect(witness, inputs, outputs, a, b))
+            if margin < 10 * tol:
+                entry["error"] = "violation margin too small"
+    for trial in range(trials if sampled else 0):
+        sample = sample_deterministic(x, seed=seed + trial)
+        for entry, a, b, rest_in, rest_out in sampled:
+            negativity, deviation = channel_defects(numeric_contraction(sample, a, b), rest_in, rest_out)
+            nosig = nosignalling_defect(sample, inputs, outputs, a, b)
+            entry["worst_channel_residual"] = max(entry["worst_channel_residual"], negativity, deviation)
+            entry["worst_nosignalling_residual"] = max(entry["worst_nosignalling_residual"], nosig)
+            if not (negativity <= tol and deviation <= tol):
+                entry["channel_failures"] += 1
+    for entry, *_ in sampled:
+        if entry["channel_failures"]:
+            entry["error"] = "sampled contraction is not a channel"
+        elif entry["worst_nosignalling_residual"] > tol:
+            entry["error"] = "no-signalling residual above tolerance"
+    failures = int(not (lambda_ok and basis_ok)) + sum("error" in entry for entry in entries)
+    return VerifyReport(lambda_ok, basis_ok, basis_size, tuple(entries), failures)
 
 
 # --- plain-text dump ----------------------------------------------------------------

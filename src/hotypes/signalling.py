@@ -26,11 +26,7 @@ from .type_core import (
 
 class Relation(str, Enum):
     NO_SIGNALLING = "no-signalling"
-    SIGNALLING = "signalling"
     FULL_SIGNALLING = "full-signalling"
-
-    # The structural algorithm only ever yields the two extremes; the plain
-    # middle value exists for numerically-derived relations.
 
 
 @dataclass(frozen=True)

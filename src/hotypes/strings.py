@@ -278,7 +278,7 @@ def compose_sets(
 
 # --- the recursive word-set builder ------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def build_D(x: TypeExpr) -> WordSet:
     """The word set spanning the traceless part of deterministic maps of x.
 

@@ -23,7 +23,6 @@ from hotypes import (
     check_contraction,
     check_equivalence,
     check_inclusion,
-    check_monotonicity,
     concat,
     critical_set,
     critical_set_multi,
@@ -39,6 +38,7 @@ from hotypes import (
     traceless_set,
     violation_witness,
 )
+from hotypes.admissibility import check_monotonicity
 from hotypes.oracle import is_channel, membership_defects
 from hotypes.strings import WordSet, canonical_universe
 from hotypes.type_core import Arrow, Elementary, Label, TRIVIAL, Trivial

@@ -17,14 +17,13 @@ from hotypes import (
     check_contraction,
     check_equivalence,
     check_inclusion,
-    check_monotonicity,
     critical_set_multi,
     elementary_systems,
     io_partition,
     parse_type,
-    supermap_inclusion_form,
     tensor,
 )
+from hotypes.admissibility import check_monotonicity, supermap_inclusion_form
 
 from conftest import random_type, random_type_with_io, type_exprs
 

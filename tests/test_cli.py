@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import hotypes.oracle
 from hotypes.cli import main
 
 
@@ -206,6 +207,29 @@ class TestOracleVerify:
         assert {e["pair"] for e in report["pairs"]} == {"A:B", "A:D", "C:B", "C:D"}
 
 
+    def test_each_trial_draws_one_sample_for_all_pairs(self, capsys, monkeypatch):
+        calls = []
+        original = hotypes.oracle.sample_deterministic
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hotypes.oracle, "sample_deterministic", counting)
+        code, report = run_json(capsys, "oracle", "verify", "(A->B)*(C->D)", "--trials", "2")
+        assert code == 0
+        assert report["failures"] == 0
+        assert calls == [0, 1]
+
+    def test_basis_over_byte_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(hotypes.oracle, "BASIS_BYTES", 1)
+        # labels no other test uses, so no cached basis bypasses the budget
+        code, out, err = run_cli(capsys, "oracle", "verify", "(Pb->Qb)", "--trials", "0")
+        assert code == 2
+        assert out == ""
+        assert "bytes" in err and "budget" in err
+
+
 class TestDimsHandling:
     def test_dims_file(self, capsys, tmp_path):
         dims = tmp_path / "dims.cfg"
@@ -249,6 +273,11 @@ class TestReportStability:
         before.pop("timing_ms")
         after.pop("timing_ms")
         assert before == after
+
+    def test_deep_nesting_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "~" * 5000 + "A")
+        assert code == 2
+        assert "nests too deeply" in err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["check"]) == 2  # missing relation subcommand

@@ -17,7 +17,6 @@ from hotypes import (
     bar,
     check_contraction,
     crosscheck,
-    full_signalling,
     io_partition,
     minimal_enclosing,
     parse_type,
@@ -25,6 +24,7 @@ from hotypes import (
     signals,
     tensor,
 )
+from hotypes.signalling import full_signalling
 
 from conftest import random_type, random_type_with_io, type_exprs
 

@@ -17,20 +17,23 @@ from hotypes import (
     build_D,
     complement_bar,
     complement_perp,
-    compose_sets,
     concat,
     contract_set,
-    contract_word,
     critical_set,
     critical_set_multi,
     full_set,
     io_partition,
     parse_type,
     tensor,
-    tensor_D_closed_form,
     traceless_set,
 )
-from hotypes.strings import UniverseTooLargeError, canonical_universe
+from hotypes.strings import (
+    UniverseTooLargeError,
+    canonical_universe,
+    compose_sets,
+    contract_word,
+    tensor_D_closed_form,
+)
 
 from conftest import random_type, random_type_with_io, type_exprs
 
