@@ -23,7 +23,7 @@ from .admissibility import (
 )
 from .oracle import verify
 from .signalling import crosscheck, signalling_matrix
-from .strings import build_D
+from .strings import MAX_UNIVERSE, build_D, word_count
 from .type_core import (
     TypeExpr,
     TypeSyntaxError,
@@ -81,7 +81,11 @@ def cmd_analyze(args, dims: dict[str, int]) -> int:
     start = time.perf_counter()
     x, renamed = _parse(args.type, dims)
     analysis = io_partition(x)
-    words = build_D(x)
+    if len(analysis.elementary) > MAX_UNIVERSE:
+        raise CliError(
+            f"type has {len(analysis.elementary)} labels; word sets are capped at {MAX_UNIVERSE}"
+        )
+    count = word_count(x)
     report = {
         "command": "analyze",
         "input_types": [args.type],
@@ -90,8 +94,8 @@ def cmd_analyze(args, dims: dict[str, int]) -> int:
         "inputs": _label_names(analysis.inputs_ordered()),
         "outputs": _label_names(analysis.outputs_ordered()),
         "lambda": str(analysis.lam),
-        "word_count": len(words),
-        "words": words.render() if len(words) <= 64 else None,
+        "word_count": count,
+        "words": build_D(x).render() if count <= 64 else None,
         "renamed": renamed,
         "timing_ms": (time.perf_counter() - start) * 1000,
     }

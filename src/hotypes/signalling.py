@@ -16,10 +16,11 @@ from .strings import build_D, critical_set
 from .type_core import (
     Label,
     TypeExpr,
+    _enclosing,
+    _LeafPath,
+    _root_paths,
     bar,
     io_partition,
-    k_value,
-    minimal_enclosing,
     render_type,
 )
 
@@ -65,12 +66,13 @@ def signals(x: TypeExpr, a: Label | str, b: Label | str) -> SignallingVerdict:
     means no signalling.
     """
     la, lb = _resolve_pair(x, a, b)
-    enclosing = minimal_enclosing(x, la, lb)
-    if k_value(enclosing, la) == 1:
-        relation = Relation.FULL_SIGNALLING
-    else:
-        relation = Relation.NO_SIGNALLING
-    return SignallingVerdict(la, lb, relation, enclosing)
+    return _verdict(la, lb, _root_paths(x))
+
+
+def _verdict(a: Label, b: Label, paths: dict[str, _LeafPath]) -> SignallingVerdict:
+    enclosing, k = _enclosing(paths[a.name], paths[b.name])
+    relation = Relation.FULL_SIGNALLING if k == 1 else Relation.NO_SIGNALLING
+    return SignallingVerdict(a, b, relation, enclosing)
 
 
 def full_signalling(x: TypeExpr, a: Label | str, b: Label | str) -> bool:
@@ -83,10 +85,12 @@ def full_signalling(x: TypeExpr, a: Label | str, b: Label | str) -> bool:
 
 def signalling_matrix(x: TypeExpr) -> list[SignallingVerdict]:
     """One verdict per (input, output) pair, inputs then outputs in textual
-    order."""
+    order.  The type is analysed once; each pair then costs one comparison
+    of two root paths."""
     analysis = io_partition(x)
+    paths = _root_paths(x)
     return [
-        signals(x, a, b)
+        _verdict(a, b, paths)
         for a in analysis.inputs_ordered()
         for b in analysis.outputs_ordered()
     ]

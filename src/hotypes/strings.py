@@ -19,6 +19,7 @@ from .type_core import (
     Label,
     Trivial,
     TypeExpr,
+    _fold,
     elementary_systems,
     io_partition,
 )
@@ -295,6 +296,25 @@ def build_D(x: TypeExpr) -> WordSet:
     left, right = build_D(x.left), build_D(x.right)
     w_left = full_set(left.universe)
     return concat(w_left, right).union(concat(complement_bar(left), complement_perp(right)))
+
+
+def _count_arrow(left, right):
+    d_x, e_x, w_x = left
+    d_y, e_y, w_y = right
+    r_x = w_x - d_x - e_x  # words of x neither in D_x nor all-ones
+    return w_x * d_y + r_x * (w_y - d_y), e_x * e_y, w_x * w_y
+
+
+def word_count(x: TypeExpr) -> int:
+    """|D_x| without enumerating it.
+
+    Each word over a subterm is in D, is the all-ones word (class E), or is
+    neither (class R); counting the three classes follows the build_D
+    recursion word by word: (u, v) is in D_{x->y} when v is in D_y, or when
+    u is in R and v is not in D_y.  A label has counts (|D|, |E|, |W|) =
+    (1, 1, 2) and I has (0, 1, 1).
+    """
+    return _fold(x, lambda _: (1, 1, 2), (0, 1, 1), _count_arrow)[0]
 
 
 def tensor_D_closed_form(x: TypeExpr, y: TypeExpr) -> WordSet:

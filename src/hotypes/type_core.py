@@ -262,22 +262,53 @@ def render_type(x: TypeExpr, sugar: bool = False) -> str:
 
 # --- relabeling and label structure -----------------------------------------
 
+_RootPath = list[tuple[Arrow, bool]]
+_LeafPath = tuple[Elementary, _RootPath]
+
+
+def _leaf_paths(x: TypeExpr) -> list[_LeafPath]:
+    """Every elementary leaf of x in left-to-right textual order, with its
+    root path: the arrows from the root down to the leaf, outermost first,
+    each paired with True where the path turns into the arrow's left side.
+
+    One iterative pass, so arbitrarily deep types cost no recursion; the
+    shared path stack is copied only at the leaves.
+    """
+    leaves: list[_LeafPath] = []
+    path: _RootPath = []
+    todo: list[tuple[TypeExpr, int, tuple[Arrow, bool] | None]] = [(x, 0, None)]
+    while todo:
+        node, depth, step = todo.pop()
+        del path[depth:]
+        if step is not None:
+            path.append(step)
+        if isinstance(node, Arrow):
+            todo.append((node.right, len(path), (node, False)))
+            todo.append((node.left, len(path), (node, True)))
+        elif isinstance(node, Elementary):
+            leaves.append((node, path.copy()))
+    return leaves
+
+
+def _distinct_labels(leaves: list[_LeafPath]) -> tuple[Label, ...]:
+    labels: list[Label] = []
+    seen: set[str] = set()
+    for node, _ in leaves:
+        if node.label.name in seen:
+            raise DuplicateLabelError(
+                f"label {node.label.name!r} occurs more than once; apply relabel_unique first"
+            )
+        seen.add(node.label.name)
+        labels.append(node.label)
+    return tuple(labels)
+
+
 def elementary_systems(x: TypeExpr) -> tuple[Label, ...]:
     """Non-trivial elementary labels of x in left-to-right textual order.
 
     Requires x to be relabeled: a duplicate label raises.
     """
-    labels: list[Label] = []
-    seen: set[str] = set()
-    for node in x.walk():
-        if isinstance(node, Elementary):
-            if node.label.name in seen:
-                raise DuplicateLabelError(
-                    f"label {node.label.name!r} occurs more than once; apply relabel_unique first"
-                )
-            seen.add(node.label.name)
-            labels.append(node.label)
-    return tuple(labels)
+    return _distinct_labels(_leaf_paths(x))
 
 
 def relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
@@ -315,16 +346,45 @@ def relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
 
 
 # --- the K parity function and the input/output partition -------------------
+#
+# Every arrow renders as (L->R), adding one arrow mark and one open bracket,
+# so the marks to the right of a label pair up except for the "->" of each
+# arrow whose left side holds the label.  K is therefore the parity of the
+# left turns on the label's root path, and K inside a subterm is the parity
+# of the left turns below that subterm's arrow.
 
-def _mark_count(x: TypeExpr) -> int:
-    """Arrows plus open brackets in the canonical rendering of x."""
-    if isinstance(x, Arrow):
-        return 2 + _mark_count(x.left) + _mark_count(x.right)
-    return 0
+
+def _left_parity(path: _RootPath) -> int:
+    return sum(left for _, left in path) % 2
 
 
-def _contains(x: TypeExpr, name: str) -> bool:
-    return any(isinstance(n, Elementary) and n.label.name == name for n in x.walk())
+def _root_paths(x: TypeExpr) -> dict[str, _LeafPath]:
+    """Leaf and root path by label name; a repeated name keeps its first
+    (leftmost) occurrence."""
+    by_name: dict[str, _LeafPath] = {}
+    for node, path in _leaf_paths(x):
+        by_name.setdefault(node.label.name, (node, path))
+    return by_name
+
+
+def _lookup(paths: Mapping[str, _LeafPath], label: Label | str) -> _LeafPath:
+    name = label.name if isinstance(label, Label) else label
+    if name not in paths:
+        raise ValueError(f"label {name!r} does not occur in the type")
+    return paths[name]
+
+
+def _enclosing(a: _LeafPath, b: _LeafPath) -> tuple[TypeExpr, int]:
+    """The smallest subterm holding both leaves, found where their root
+    paths first turn different ways, and K of the first leaf inside it."""
+    leaf, path_a = a
+    path_b = b[1]
+    depth, shared = 0, min(len(path_a), len(path_b))
+    while depth < shared and path_a[depth][1] == path_b[depth][1]:
+        depth += 1
+    if depth == len(path_a):  # the same leaf
+        return leaf, 0
+    return path_a[depth][0], _left_parity(path_a[depth:])
 
 
 def k_value(x: TypeExpr, label: Label | str) -> int:
@@ -333,21 +393,7 @@ def k_value(x: TypeExpr, label: Label | str) -> int:
 
     Value 1 marks an input system, 0 an output system.
     """
-    name = label.name if isinstance(label, Label) else label
-    count = 0
-    node = x
-    while isinstance(node, Arrow):
-        if _contains(node.left, name):
-            # this node's own arrow plus everything rendered on its right
-            count += 1 + _mark_count(node.right)
-            node = node.left
-        elif _contains(node.right, name):
-            node = node.right
-        else:
-            raise ValueError(f"label {name!r} does not occur in the type")
-    if not (isinstance(node, Elementary) and node.label.name == name):
-        raise ValueError(f"label {name!r} does not occur in the type")
-    return count % 2
+    return _left_parity(_lookup(_root_paths(x), label)[1])
 
 
 @dataclass(frozen=True)
@@ -368,32 +414,46 @@ class IoAnalysis:
         return tuple(a for a in self.elementary if a in self.outputs)
 
 
-def _total_dimension(x: TypeExpr) -> int:
-    out = 1
-    for node in x.walk():
-        if isinstance(node, Elementary):
-            out *= node.label.dimension
-    return out
+def _fold(x: TypeExpr, leaf, trivial, arrow):
+    """Evaluate x bottom-up without recursion: ``leaf(label)`` at each
+    elementary system, ``trivial`` at I, and ``arrow(left, right)`` on the
+    values of the two sides of each arrow."""
+    values: list = []
+    todo: list[tuple[TypeExpr, bool]] = [(x, False)]
+    while todo:
+        node, sides_done = todo.pop()
+        if isinstance(node, Arrow):
+            if sides_done:
+                right = values.pop()
+                values.append(arrow(values.pop(), right))
+            else:
+                todo += [(node, True), (node.right, False), (node.left, False)]
+        elif isinstance(node, Elementary):
+            values.append(leaf(node.label))
+        else:
+            values.append(trivial)
+    return values[0]
 
 
-def _lambda_rec(x: TypeExpr) -> Fraction:
-    if isinstance(x, Trivial):
-        return Fraction(1)
-    if isinstance(x, Elementary):
-        return Fraction(1, x.label.dimension)
-    assert isinstance(x, Arrow)
-    return _lambda_rec(x.right) / (_total_dimension(x.left) * _lambda_rec(x.left))
+def _lambda_arrow(left, right):
+    # lambda as an unreduced numerator and denominator, with the total
+    # dimension; reducing a Fraction at every arrow cost more than the rest
+    # of the analysis
+    (num_x, den_x, dim_x), (num_y, den_y, dim_y) = left, right
+    return num_y * den_x, den_y * dim_x * num_x, dim_x * dim_y
 
 
 def io_partition(x: TypeExpr) -> IoAnalysis:
     """Split Ele_x into inputs (K = 1) and outputs (K = 0) and compute lambda
     by the recursion lambda_E = 1/d_E, lambda_I = 1,
     lambda_{x->y} = lambda_y / (d_x lambda_x)."""
-    elementary = elementary_systems(x)
-    k = {a: k_value(x, a) for a in elementary}
+    leaves = _leaf_paths(x)
+    elementary = _distinct_labels(leaves)
+    k = {node.label: _left_parity(path) for node, path in leaves}
     inputs = frozenset(a for a in elementary if k[a] == 1)
     outputs = frozenset(a for a in elementary if k[a] == 0)
-    return IoAnalysis(elementary, inputs, outputs, k, _lambda_rec(x))
+    num, den, _ = _fold(x, lambda a: (1, a.dimension, a.dimension), (1, 1, 1), _lambda_arrow)
+    return IoAnalysis(elementary, inputs, outputs, k, Fraction(num, den))
 
 
 # --- the subterm partial order ----------------------------------------------
@@ -409,18 +469,6 @@ def minimal_enclosing(x: TypeExpr, a: Label | str, b: Label | str) -> TypeExpr:
     For distinct labels in core form this is always an arrow with the two
     labels split across its sides.
     """
-    name_a = a.name if isinstance(a, Label) else a
-    name_b = b.name if isinstance(b, Label) else b
-    if not _contains(x, name_a):
-        raise ValueError(f"label {name_a!r} does not occur in the type")
-    if not _contains(x, name_b):
-        raise ValueError(f"label {name_b!r} does not occur in the type")
-    node = x
-    while isinstance(node, Arrow):
-        if _contains(node.left, name_a) and _contains(node.left, name_b):
-            node = node.left
-        elif _contains(node.right, name_a) and _contains(node.right, name_b):
-            node = node.right
-        else:
-            return node
-    return node
+    paths = _root_paths(x)
+    enclosing, _ = _enclosing(_lookup(paths, a), _lookup(paths, b))
+    return enclosing

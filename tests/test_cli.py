@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import hotypes.oracle
 from hotypes.cli import main
@@ -51,6 +52,24 @@ class TestAnalyze:
         assert code == 0
         assert report["word_count"] > 64
         assert report["words"] is None
+
+    def test_word_count_without_enumeration(self, capsys, monkeypatch):
+        def refuse(x):
+            raise AssertionError("build_D called for a word set too large to list")
+
+        monkeypatch.setattr("hotypes.cli.build_D", refuse)
+        channels = "*".join(f"(A{i}->B{i})" for i in range(12))
+        start = time.perf_counter()
+        code, report = run_json(capsys, "analyze", channels)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert report["word_count"] == 3**12 - 1
+        assert report["words"] is None
+
+    def test_too_many_labels_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "*".join(f"A{i}" for i in range(64)))
+        assert code == 2
+        assert "64 labels" in err
 
     def test_parse_error_exits_2_with_caret(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "(A->")

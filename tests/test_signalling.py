@@ -121,6 +121,17 @@ class TestSignallingMatrix:
     def test_no_inputs_gives_empty_matrix(self):
         assert signalling_matrix(parse_type("A")) == []
 
+    def test_rows_equal_pairwise_verdicts(self):
+        rng = random.Random(107)
+        for _ in range(200):
+            x = random_type(rng, max_systems=8, dims=(2, 3))
+            analysis = io_partition(x)
+            assert signalling_matrix(x) == [
+                signals(x, a, b)
+                for a in analysis.inputs_ordered()
+                for b in analysis.outputs_ordered()
+            ]
+
 
 class TestCrosscheck:
     def test_tensor_example(self):
@@ -217,3 +228,12 @@ class TestComplexity:
         assert time.perf_counter() - start < 1.0
         assert verdict.relation in (Relation.NO_SIGNALLING, Relation.FULL_SIGNALLING)
         assert minimal_enclosing(chain, a, b) is not None
+
+    def test_full_matrix_on_forty_labels(self):
+        x = parse_type("*".join(f"(A{i}->B{i})" for i in range(20)))
+        start = time.perf_counter()
+        rows = signalling_matrix(x)
+        assert time.perf_counter() - start < 1.0
+        assert len(rows) == 400
+        full = {(r.source.name, r.target.name) for r in rows if r.relation is Relation.FULL_SIGNALLING}
+        assert full == {(f"A{i}", f"B{i}") for i in range(20)}

@@ -33,6 +33,7 @@ from hotypes.strings import (
     compose_sets,
     contract_word,
     tensor_D_closed_form,
+    word_count,
 )
 
 from conftest import random_type, random_type_with_io, type_exprs
@@ -236,6 +237,12 @@ class TestBuildD:
     @given(type_exprs(max_systems=6, dims=(2, 3)))
     def test_double_bar_restores_the_word_set(self, x):
         assert build_D(bar(bar(x))).masks == build_D(x).masks
+
+    def test_word_count_matches_enumeration(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            x = random_type(rng, max_systems=8, dims=(2, 3))
+            assert word_count(x) == len(build_D(x))
 
     def test_all_ones_never_appears(self):
         rng = random.Random(31)

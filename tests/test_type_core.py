@@ -13,6 +13,7 @@ from hotypes import (
     DuplicateLabelError,
     Elementary,
     Label,
+    Relation,
     TRIVIAL,
     TypeSyntaxError,
     bar,
@@ -24,6 +25,7 @@ from hotypes import (
     parse_type,
     relabel_unique,
     render_type,
+    signals,
     tensor,
 )
 
@@ -300,22 +302,42 @@ class TestMinimalEnclosing:
         # and keep the shortest as rendered text (nested candidates always
         # differ in length, so the minimum is unique)
         rng = random.Random(117)
-        for _ in range(150):
+        for _ in range(300):
             x = random_type(rng, max_systems=7, min_systems=2)
-            labels = elementary_systems(x)
-            a, b = rng.sample(labels, 2)
-            candidates = [
-                node
+            subterms = [
+                (node, {n.label.name for n in node.walk() if isinstance(n, Elementary)})
                 for node in x.walk()
-                if {a.name, b.name}
-                <= {lbl.name for lbl in elementary_systems(node)}
             ]
-            smallest = min(candidates, key=lambda t: len(render_type(t)))
-            assert minimal_enclosing(x, a, b) == smallest
+            labels = elementary_systems(x)
+            for a in labels:
+                for b in labels:
+                    smallest = min(
+                        (node for node, names in subterms if {a.name, b.name} <= names),
+                        key=lambda t: len(render_type(t)),
+                    )
+                    assert minimal_enclosing(x, a, b) == smallest
 
     def test_missing_label(self):
         with pytest.raises(ValueError):
             minimal_enclosing(parse_type("A->B"), "A", "Z")
+
+
+class TestDeepInput:
+    def test_structural_analysis_needs_no_recursion(self):
+        # far past the interpreter's recursion limit
+        deep = el("A")
+        for _ in range(5000):
+            deep = bar(deep)
+        x = Arrow(deep, el("B"))
+        analysis = io_partition(x)
+        assert [a.name for a in analysis.inputs_ordered()] == ["A"]
+        assert [a.name for a in analysis.outputs_ordered()] == ["B"]
+        assert analysis.lam == Fraction(1, 2)
+        assert k_value(x, "A") == 1
+        assert minimal_enclosing(x, "A", "B") is x
+        verdict = signals(x, "A", "B")
+        assert verdict.relation is Relation.FULL_SIGNALLING
+        assert verdict.enclosing is x
 
 
 class TestConstructors:
