@@ -19,6 +19,7 @@ from .type_core import (
     Label,
     TRIVIAL,
     TypeExpr,
+    _fold,
     elementary_systems,
     io_partition,
     tensor,
@@ -215,11 +216,10 @@ def _prime(name: str, taken: set[str]) -> str:
 
 
 def _rename_labels(x: TypeExpr, mapping: dict[str, str]) -> TypeExpr:
-    if isinstance(x, Elementary) and x.label.name in mapping:
-        return Elementary(Label(mapping[x.label.name], x.label.dimension))
-    if isinstance(x, Arrow):
-        return Arrow(_rename_labels(x.left, mapping), _rename_labels(x.right, mapping))
-    return x
+    def rename(a: Label) -> TypeExpr:
+        return Elementary(Label(mapping.get(a.name, a.name), a.dimension))
+
+    return _fold(x, rename, TRIVIAL, Arrow)
 
 
 def check_composition(x: TypeExpr, y: TypeExpr) -> Verdict:

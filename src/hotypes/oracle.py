@@ -185,9 +185,7 @@ def phi_operator(a: Label, b: Label) -> OperatorMatrix:
 def numeric_contraction(op: OperatorMatrix, a: Label | str, b: Label | str) -> OperatorMatrix:
     """Close the loop from output b into input a: link with the entangled
     pair operator on (a, b)."""
-    by_name = {lbl.name: lbl for lbl in op.labels}
-    la = by_name[a.name if isinstance(a, Label) else a]
-    lb = by_name[b.name if isinstance(b, Label) else b]
+    la, lb = _as_label_tuple(op.labels, [a, b])
     return link_product(op, phi_operator(la, lb))
 
 
@@ -256,8 +254,8 @@ def basis_dimension(words: WordSet) -> int:
     total = 0
     for word in words:
         size = 1
-        for i, a in enumerate(words.universe):
-            if not (word.bits >> i) & 1:
+        for a in words.universe:
+            if not word.bit(a):
                 size *= a.dimension**2 - 1
         total += size
     return total
@@ -266,13 +264,14 @@ def basis_dimension(words: WordSet) -> int:
 @lru_cache(maxsize=2)
 def basis_for_words(words: WordSet) -> SubspaceBasis:
     """Orthonormal basis of the subspace spanned by the word set: traceless
-    factors where a bit is 0, the normalized identity where it is 1.
+    factors where a bit is 0, the normalized identity where it is 1, in
+    canonical label order and the word set's iteration order.
 
     Refuses before allocating when the dense elements would exceed
     ``BASIS_BYTES``.  Cached per word set (one type and one comparison
     target); callers must treat the elements as read-only.
     """
-    labels = words.universe
+    labels = canonical_universe(words.universe)
     _guard(labels)
     size = basis_dimension(words) * _side(labels) ** 2 * 16
     if size > BASIS_BYTES:
@@ -283,8 +282,7 @@ def basis_for_words(words: WordSet) -> SubspaceBasis:
         factor_options[(a.name, 1)] = [np.eye(a.dimension, dtype=complex) / np.sqrt(a.dimension)]
     elements: list[np.ndarray] = []
     for word in words:
-        bits = word.as_tuple()
-        pools = [factor_options[(a.name, bits[i])] for i, a in enumerate(labels)]
+        pools = [factor_options[(a.name, word.bit(a))] for a in labels]
         for combo in product(*pools):
             m = np.array([[1.0 + 0j]])
             for factor in combo:
@@ -332,8 +330,8 @@ def sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> 
 
 # --- validation predicates -------------------------------------------------------
 
-def _as_label_tuple(op: OperatorMatrix, labels: Iterable[Label | str]) -> tuple[Label, ...]:
-    by_name = {a.name: a for a in op.labels}
+def _as_label_tuple(known: Iterable[Label], labels: Iterable[Label | str]) -> tuple[Label, ...]:
+    by_name = {a.name: a for a in known}
     out = []
     for a in labels:
         name = a.name if isinstance(a, Label) else a
@@ -347,8 +345,8 @@ def channel_defects(
     op: OperatorMatrix, in_labels: Iterable[Label | str], out_labels: Iterable[Label | str]
 ) -> tuple[float, float]:
     """(negativity, marginal deviation) for reading op as a channel."""
-    ins = _as_label_tuple(op, in_labels)
-    outs = _as_label_tuple(op, out_labels)
+    ins = _as_label_tuple(op.labels, in_labels)
+    outs = _as_label_tuple(op.labels, out_labels)
     if {a.name for a in ins} | {a.name for a in outs} != {a.name for a in op.labels}:
         raise ValueError("in/out labels must partition the operator's labels")
     negativity = max(0.0, -op.min_eigenvalue())
@@ -383,10 +381,9 @@ def nosignalling_defect(
     b: Label | str,
 ) -> float:
     """Norm of Tr_{out minus b}[R] minus I_a/d_a (x) Tr_{a,out minus b}[R]."""
-    ins = _as_label_tuple(op, in_labels)
-    outs = _as_label_tuple(op, out_labels)
-    (la,) = _as_label_tuple(op, [a])
-    (lb,) = _as_label_tuple(op, [b])
+    ins = _as_label_tuple(op.labels, in_labels)
+    outs = _as_label_tuple(op.labels, out_labels)
+    la, lb = _as_label_tuple(op.labels, [a, b])
     if la not in ins or lb not in outs:
         raise ValueError("a must be an input label and b an output label")
     reduced = partial_trace(op, [o for o in outs if o.name != lb.name])
@@ -456,9 +453,7 @@ def violation_witness(x: TypeExpr, a: Label | str, b: Label | str) -> OperatorMa
     word (diagonal traceless factors at 0 bits, identities at 1 bits).
     """
     analysis = io_partition(x)
-    by_name = {lbl.name: lbl for lbl in analysis.elementary}
-    la = by_name[a.name if isinstance(a, Label) else a]
-    lb = by_name[b.name if isinstance(b, Label) else b]
+    la, lb = _as_label_tuple(analysis.elementary, [a, b])
     verdict = check_contraction(x, ContractionSpec.of([(la, lb)]))
     if verdict.admissible:
         raise ValueError(f"contraction ({la.name}, {lb.name}) is admissible; nothing to violate")
@@ -468,9 +463,9 @@ def violation_witness(x: TypeExpr, a: Label | str, b: Label | str) -> OperatorMa
     _guard(labels)
     word = verdict.witness
     factor = np.array([[1.0 + 0j]])
-    for i, lbl in enumerate(labels):
-        bit = (word.bits >> i) & 1
-        block = np.eye(lbl.dimension, dtype=complex) if bit else _diag_traceless(lbl.dimension)
+    for lbl in labels:
+        identity = word.bit(lbl)
+        block = np.eye(lbl.dimension, dtype=complex) if identity else _diag_traceless(lbl.dimension)
         factor = np.kron(factor, block)
     lam = float(analysis.lam)
     side = _side(labels)

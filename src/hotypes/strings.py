@@ -1,7 +1,9 @@
 """Exact calculus of labeled binary strings.
 
-Words are bitmasks over a canonically sorted label universe (bit i holds
-the value at the i-th label).  Word sets are plain frozensets of masks, so
+Words are bitmasks over a label universe kept in the type's textual label
+order (bit i holds the value at the i-th label), so concatenation is a
+shift.  Sorted-name order is used only to show words: rendering, iteration
+and the smallest member.  Word sets are plain frozensets of masks, so
 every operation here is exact and exhaustive; universes are capped at 63
 labels to keep single-machine-word encoding.
 """
@@ -41,15 +43,21 @@ class _Annihilated:
 ANNIHILATED = _Annihilated()
 
 
-def canonical_universe(labels: Iterable[Label]) -> tuple[Label, ...]:
-    """Sort labels by name and reject duplicates and oversized universes."""
-    ordered = tuple(sorted(labels, key=lambda a: a.name))
+def _universe(labels: Iterable[Label]) -> tuple[Label, ...]:
+    """The labels in the given order; duplicates and oversized universes
+    are rejected."""
+    ordered = tuple(labels)
     names = [a.name for a in ordered]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate labels in universe: {names}")
     if len(ordered) > MAX_UNIVERSE:
         raise UniverseTooLargeError(f"universe has {len(ordered)} labels; the cap is {MAX_UNIVERSE}")
     return ordered
+
+
+def canonical_universe(labels: Iterable[Label]) -> tuple[Label, ...]:
+    """Sort labels by name and reject duplicates and oversized universes."""
+    return _universe(sorted(labels, key=lambda a: a.name))
 
 
 @dataclass(frozen=True)
@@ -71,13 +79,11 @@ class BitWord:
                 return (self.bits >> i) & 1
         raise ValueError(f"label {name!r} not in universe")
 
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(len(self.universe)))
-
     def render(self) -> str:
+        """Bits in sorted-name order, e.g. ``1_A0_B``."""
         if not self.universe:
             return "ε"
-        return "".join(f"{(self.bits >> i) & 1}_{a.name}" for i, a in enumerate(self.universe))
+        return "".join(f"{self.bit(a)}_{a.name}" for a in canonical_universe(self.universe))
 
     def __str__(self) -> str:
         return self.render()
@@ -100,14 +106,29 @@ class WordSet:
         return len(self.masks)
 
     def __iter__(self) -> Iterator[BitWord]:
-        order = sorted(self.masks, key=self._lex_key)
+        """Members in sorted-name lexicographic order (0 < 1)."""
+        order = sorted(self.masks, key=self._lex_key())
         return iter(BitWord(self.universe, m) for m in order)
 
-    def _lex_key(self, mask: int) -> tuple[int, ...]:
-        return tuple((mask >> i) & 1 for i in range(len(self.universe)))
+    def _lex_key(self):
+        """Sort key of masks for sorted-name lexicographic order."""
+        order = [self.universe.index(a) for a in canonical_universe(self.universe)]
+        return lambda mask: [(mask >> i) & 1 for i in order]
+
+    def _aligned(self, universe: tuple[Label, ...], masks: Iterable[int]) -> frozenset[int]:
+        """Masks over ``universe``, this set's labels in any order, moved
+        into this set's bit layout."""
+        if universe == self.universe:
+            return frozenset(masks)
+        if len(universe) != len(self.universe) or set(universe) != set(self.universe):
+            raise ValueError("word sets live over different universes")
+        position = {a: i for i, a in enumerate(self.universe)}
+        moves = [(i, position[a]) for i, a in enumerate(universe)]
+        return frozenset(sum(((m >> i) & 1) << j for i, j in moves) for m in masks)
 
     def __contains__(self, word: BitWord) -> bool:
-        return word.universe == self.universe and word.bits in self.masks
+        same_labels = set(word.universe) == set(self.universe)
+        return same_labels and self._aligned(word.universe, [word.bits]) <= self.masks
 
     def word(self, bits_by_name: dict[str, int]) -> BitWord:
         """Build a member-shaped word from {label name: bit}."""
@@ -119,31 +140,27 @@ class WordSet:
                 mask |= 1 << i
         return BitWord(self.universe, mask)
 
-    def _check_same_universe(self, other: "WordSet") -> None:
-        if self.universe != other.universe:
-            raise ValueError("word sets live over different universes")
-
     def union(self, other: "WordSet") -> "WordSet":
-        self._check_same_universe(other)
-        return WordSet(self.universe, self.masks | other.masks, self.annihilated or other.annihilated)
+        masks = self.masks | self._aligned(other.universe, other.masks)
+        return WordSet(self.universe, masks, self.annihilated or other.annihilated)
 
     def intersection(self, other: "WordSet") -> "WordSet":
-        self._check_same_universe(other)
-        return WordSet(self.universe, self.masks & other.masks)
+        return WordSet(self.universe, self.masks & self._aligned(other.universe, other.masks))
 
     def difference(self, other: "WordSet") -> "WordSet":
-        self._check_same_universe(other)
-        return WordSet(self.universe, self.masks - other.masks)
+        return WordSet(self.universe, self.masks - self._aligned(other.universe, other.masks))
 
     def is_subset(self, other: "WordSet") -> bool:
-        self._check_same_universe(other)
-        return self.masks <= other.masks
+        return other._aligned(self.universe, self.masks) <= other.masks
 
     def min_word(self) -> BitWord:
-        """Lexicographically smallest member (canonical label order, 0 < 1)."""
+        """Lexicographically smallest member (sorted-name order, 0 < 1),
+        as a word over the canonical universe."""
         if not self.masks:
             raise ValueError("empty word set has no smallest word")
-        return BitWord(self.universe, min(self.masks, key=self._lex_key))
+        canonical = canonical_universe(self.universe)
+        (bits,) = WordSet(canonical)._aligned(self.universe, [min(self.masks, key=self._lex_key())])
+        return BitWord(canonical, bits)
 
     def render(self) -> list[str]:
         return [w.render() for w in self]
@@ -154,13 +171,13 @@ class WordSet:
 def full_set(universe: Iterable[Label]) -> WordSet:
     """W: every word over the universe.  Over the empty universe this is
     the singleton holding the null string."""
-    ordered = canonical_universe(universe)
+    ordered = _universe(universe)
     return WordSet(ordered, frozenset(range(1 << len(ordered))))
 
 
 def all_ones(universe: Iterable[Label]) -> BitWord:
     """e: the all-ones word."""
-    ordered = canonical_universe(universe)
+    ordered = _universe(universe)
     return BitWord(ordered, (1 << len(ordered)) - 1)
 
 
@@ -183,29 +200,14 @@ def complement_bar(j: WordSet) -> WordSet:
 # --- concatenation and contraction -------------------------------------------
 
 def concat(j1: WordSet, j2: WordSet) -> WordSet:
-    """All pairwise joins of words over the disjoint union of universes.
+    """All pairwise joins of words over the disjoint union of universes,
+    the labels of j1 first.
 
     The null-string set {ε} is the identity and the empty set annihilates.
     """
-    names1 = {a.name for a in j1.universe}
-    names2 = {a.name for a in j2.universe}
-    if names1 & names2:
-        raise ValueError(f"universes overlap on {sorted(names1 & names2)}")
-    universe = canonical_universe(j1.universe + j2.universe)
-    position = {a.name: i for i, a in enumerate(universe)}
-
-    def rebase(mask: int, source: tuple[Label, ...]) -> int:
-        out = 0
-        for i, a in enumerate(source):
-            if (mask >> i) & 1:
-                out |= 1 << position[a.name]
-        return out
-
-    masks = frozenset(
-        rebase(m1, j1.universe) | rebase(m2, j2.universe)
-        for m1 in j1.masks
-        for m2 in j2.masks
-    )
+    universe = _universe(j1.universe + j2.universe)
+    shift = len(j1.universe)
+    masks = frozenset(m1 | m2 << shift for m1 in j1.masks for m2 in j2.masks)
     return WordSet(universe, masks, j1.annihilated or j2.annihilated)
 
 
@@ -351,7 +353,7 @@ def critical_set_multi(
     one), ones on the untouched outputs, anything on the untouched inputs.
     """
     analysis = io_partition(x)
-    universe = canonical_universe(analysis.elementary)
+    universe = _universe(analysis.elementary)
     resolved: list[tuple[Label, Label]] = []
     used: set[str] = set()
     for a, b in pairs:

@@ -61,11 +61,14 @@ class TypeExpr:
         return render_type(self)
 
     def walk(self) -> Iterator["TypeExpr"]:
-        """Yield this expression and all subterms, left to right."""
-        yield self
-        if isinstance(self, Arrow):
-            yield from self.left.walk()
-            yield from self.right.walk()
+        """Yield this expression and all subterms, left to right (preorder,
+        without recursion)."""
+        todo: list[TypeExpr] = [self]
+        while todo:
+            node = todo.pop()
+            yield node
+            if isinstance(node, Arrow):
+                todo += [node.right, node.left]
 
 
 @dataclass(frozen=True)
@@ -328,21 +331,15 @@ def relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
             counter += 1
         return f"{base}{counter}"
 
-    def rebuild(node: TypeExpr) -> TypeExpr:
-        if isinstance(node, Elementary):
-            name = node.label.name
-            if name in seen:
-                new_name = fresh(name)
-                provenance[new_name] = name
-                seen.add(new_name)
-                return Elementary(Label(new_name, node.label.dimension))
-            seen.add(name)
-            return node
-        if isinstance(node, Arrow):
-            return Arrow(rebuild(node.left), rebuild(node.right))
-        return node
+    def rename(label: Label) -> TypeExpr:
+        if label.name in seen:
+            new_name = fresh(label.name)
+            provenance[new_name] = label.name
+            label = Label(new_name, label.dimension)
+        seen.add(label.name)
+        return Elementary(label)
 
-    return rebuild(x), provenance
+    return _fold(x, rename, TRIVIAL, Arrow), provenance
 
 
 # --- the K parity function and the input/output partition -------------------

@@ -1,0 +1,146 @@
+"""Word bits follow the type's textual label order; sorted-name order shows
+only in rendering, iteration, witnesses and the oracle's dense layout.
+
+Types here carry their labels in shuffled textual order, so a result that
+silently depended on sorted universes would change.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import re
+
+from hotypes import (
+    Arrow,
+    ContractionSpec,
+    Elementary,
+    Label,
+    Reason,
+    WordSet,
+    build_D,
+    check_contraction,
+    check_equivalence,
+    check_inclusion,
+    critical_set,
+    elementary_systems,
+    io_partition,
+    parse_type,
+    signals,
+)
+from hotypes.cli import main
+from hotypes.strings import canonical_universe, word_count
+
+from conftest import random_type, random_type_with_io
+
+
+def shuffled_labels(rng: random.Random, x):
+    """x with its label names permuted at random, dimensions kept."""
+    labels = elementary_systems(x)
+    names = [a.name for a in labels]
+    rng.shuffle(names)
+    mapping = dict(zip((a.name for a in labels), names))
+
+    def rename(node):
+        if isinstance(node, Elementary):
+            return Elementary(Label(mapping[node.label.name], node.label.dimension))
+        if isinstance(node, Arrow):
+            return Arrow(rename(node.left), rename(node.right))
+        return node
+
+    return rename(x)
+
+
+def permuted_types(seed: int, count: int, **kwargs) -> list:
+    rng = random.Random(seed)
+    return [shuffled_labels(rng, random_type_with_io(rng, **kwargs)) for _ in range(count)]
+
+
+def test_word_sets_use_textual_bits_and_render_in_sorted_name_order():
+    unsorted = 0
+    for x in permuted_types(71, 200, max_systems=7, dims=(2, 3)):
+        d = build_D(x)
+        assert d.universe == elementary_systems(x)
+        unsorted += list(d.universe) != sorted(d.universe)
+        rendered = d.render()
+        assert rendered == sorted(rendered)
+        assert len(set(rendered)) == len(rendered) == word_count(x)
+        names = sorted(a.name for a in d.universe)
+        for word in rendered:
+            assert re.findall(r"[01]_([A-Z])", word) == names
+    assert unsorted > 150
+
+
+def test_contraction_witness_is_the_smallest_rendered_hit():
+    rejected = 0
+    for x in permuted_types(73, 150, max_systems=6):
+        analysis = io_partition(x)
+        d = build_D(x)
+        for a in analysis.inputs_ordered():
+            for b in analysis.outputs_ordered():
+                verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
+                hits = d.intersection(critical_set(x, a, b))
+                assert verdict.admissible == (not hits.masks)
+                if verdict.admissible:
+                    continue
+                rejected += 1
+                assert verdict.witness.render() == min(hits.render())
+                assert verdict.witness.universe == canonical_universe(analysis.elementary)
+    assert rejected > 50
+
+
+def test_inclusion_witness_is_the_smallest_rendered_extra_word():
+    rng = random.Random(79)
+    rejected = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        x = shuffled_labels(rng, random_type(rng, max_systems=n, min_systems=n))
+        y = shuffled_labels(rng, random_type(rng, max_systems=n, min_systems=n))
+        verdict = check_inclusion(x, y)
+        if verdict.reason is not Reason.NOT_INCLUDED:
+            continue
+        rejected += 1
+        dx, dy = build_D(x), build_D(y)
+        assert verdict.witness.render() == min(dx.difference(dy).render())
+        assert verdict.witness.universe == canonical_universe(elementary_systems(x))
+        assert verdict.witness in dx and verdict.witness not in dy
+    assert rejected > 20
+
+
+def test_set_operations_across_label_orders():
+    rng = random.Random(83)
+    for x in permuted_types(83, 100, max_systems=6):
+        d = build_D(x)
+        order = list(d.universe)
+        rng.shuffle(order)
+        holder = WordSet(tuple(order))
+        moved = WordSet(
+            holder.universe,
+            frozenset(holder.word({a.name: w.bit(a) for a in w.universe}).bits for w in d),
+        )
+        assert moved.render() == d.render()
+        assert d.is_subset(moved) and moved.is_subset(d)
+        assert all(w in moved for w in d) and all(w in d for w in moved)
+        assert d.intersection(moved).masks == d.masks
+        assert not moved.difference(d).masks
+        assert d.union(moved) == d
+
+
+def test_permuted_channels_and_supermaps():
+    assert check_equivalence(parse_type("(C->D)*(A->B)"), parse_type("(A->B)*(C->D)")).admissible
+    narrow, wide = parse_type("((D->C)->(B->A))"), parse_type("((C*B)->(A*D))")
+    assert check_inclusion(narrow, wide).admissible
+    converse = check_inclusion(wide, narrow)
+    assert converse.reason is Reason.NOT_INCLUDED
+    assert converse.witness.render() == "1_A0_B0_C0_D"
+    assert converse.witness in build_D(wide) and converse.witness not in build_D(narrow)
+
+
+def test_oracle_verify_on_permuted_channels(capsys):
+    text = "(D->C)*(B->A)"
+    code = main(["--json", "oracle", "verify", text, "--trials", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["failures"] == 0
+    x = parse_type(text)
+    want = {f"{a}:{b}": signals(x, a, b).relation.value for a in "DB" for b in "CA"}
+    assert {entry["pair"]: entry["relation"] for entry in report["pairs"]} == want

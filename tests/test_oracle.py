@@ -234,6 +234,11 @@ class TestNumericContraction:
             contracted = numeric_contraction(sample, "C", "B")
             assert is_channel(contracted, ["A"], ["D"], RESIDUAL_TOL)
 
+    def test_unknown_label_is_named(self):
+        op = identity_operator([Label("A"), Label("B")])
+        with pytest.raises(ValueError, match="'Z'"):
+            numeric_contraction(op, "Z", "A")
+
 
 class TestChannelAndNoSignalling:
     def test_depolarizing_style_choi(self):
@@ -351,6 +356,10 @@ class TestViolationWitness:
     def test_admissible_pair_refused(self):
         with pytest.raises(ValueError):
             violation_witness(parse_type("(A->B)*(C->D)"), "C", "B")
+
+    def test_unknown_label_is_named(self):
+        with pytest.raises(ValueError, match="'Z'"):
+            violation_witness(parse_type("(A->B)*(C->D)"), "Z", "B")
 
     def test_margin_scales_linearly_in_epsilon(self):
         x = parse_type("(A->B)*(C->D)")

@@ -339,6 +339,22 @@ class TestDeepInput:
         assert verdict.relation is Relation.FULL_SIGNALLING
         assert verdict.enclosing is x
 
+    def test_tree_rebuilds_need_no_recursion(self):
+        from hotypes.admissibility import _rename_labels
+
+        deep = el("A")
+        for _ in range(5000):
+            deep = bar(deep)
+        x = Arrow(deep, el("A"))
+        nodes = list(x.walk())
+        assert len(nodes) == 10003 and nodes[0] is x and nodes[-1] == el("A")
+        relabeled, provenance = relabel_unique(x)
+        assert provenance == {"A1": "A"}
+        leaves = [n.label.name for n in relabeled.walk() if isinstance(n, Elementary)]
+        assert leaves == ["A", "A1"]
+        renamed = _rename_labels(relabeled, {"A1": "B"})
+        assert elementary_systems(renamed) == (Label("A"), Label("B"))
+
 
 class TestConstructors:
     def test_tensor_definition_matches_parse(self):
