@@ -5,7 +5,8 @@ For each random type, ``hotypes.verify`` decides every (input, output)
 contraction three ways: by the signalling algorithm, by the critical-set
 test, and by brute numerics (sampled maps must contract to channels without
 signalling from the closed input, or an explicit witness map must break the
-channel law).  Any disagreement is a bug.
+channel law).  Any disagreement is a bug and exits 1; a type the oracle
+refuses (too many dense bytes) exits 2 with ``error: <type>: <reason>``.
 """
 
 from __future__ import annotations
@@ -46,21 +47,25 @@ def random_type_with_io(rng: random.Random, max_systems: int, dims):
             return x
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--types", type=int, default=20)
     parser.add_argument("--trials", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-systems", type=int, default=4)
     parser.add_argument("--tol", type=float, default=1e-9)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
     pairs_checked = 0
     disagreements = 0
     for index in range(args.types):
         x = random_type_with_io(rng, args.max_systems, (2,))
-        report = verify(x, trials=args.trials, seed=args.seed + 1000 * index, tol=args.tol)
+        try:
+            report = verify(x, trials=args.trials, seed=args.seed + 1000 * index, tol=args.tol)
+        except ValueError as exc:
+            print(f"error: {x}: {exc}", file=sys.stderr)
+            return 2
         pairs_checked += len(report.pairs)
         disagreements += report.failures
         if not (report.lambda_ok and report.basis_ok):

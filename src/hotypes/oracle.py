@@ -2,27 +2,24 @@
 
 Operators live on the tensor product of their labels' Hilbert spaces in
 canonical (sorted) label order.  Everything here is exact linear algebra
-at desk scale: orthonormal operator bases for the word subspaces, seeded
-sampling of deterministic maps, the link product, and the channel and
-no-signalling tests used to validate combinatorial verdicts.
+at desk scale: seeded sampling of deterministic maps on product-basis
+coefficients, where a word subspace is a mask, the link product, and the
+channel and no-signalling tests used to validate combinatorial verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .admissibility import ContractionSpec, check_contraction
 from .signalling import Relation, signals
-from .strings import WordSet, build_D, canonical_universe
+from .strings import BitWord, WordSet, build_D, canonical_universe
 from .type_core import Label, TypeExpr, io_partition
 
-DIMENSION_GUARD = 256
 BASIS_BYTES = 1 << 30
 
 
@@ -193,21 +190,14 @@ def numeric_contraction(op: OperatorMatrix, a: Label | str, b: Label | str) -> O
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal Hermitian elements under the Hilbert-Schmidt product."""
+    """The product-basis elements a word set spans, as a boolean mask on
+    the coefficient tensor indexed (d1², …, dn²) in canonical label order."""
 
     labels: tuple[Label, ...]
-    elements: tuple[np.ndarray, ...] = field(repr=False)
+    allowed: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def gram_matrix(self) -> np.ndarray:
-        flat = [e.reshape(-1) for e in self.elements]
-        out = np.empty((len(flat), len(flat)), dtype=complex)
-        for i, u in enumerate(flat):
-            for j, v in enumerate(flat):
-                out[i, j] = np.vdot(u, v)
-        return out
+        return int(np.count_nonzero(self.allowed))
 
 
 def _gellmann_traceless(d: int) -> list[np.ndarray]:
@@ -232,25 +222,52 @@ def _gellmann_traceless(d: int) -> list[np.ndarray]:
     return out
 
 
-def herm_basis(d: int) -> SubspaceBasis:
-    """Orthonormal basis of Hermitian operators on one d-dimensional factor:
-    the normalized identity followed by the traceless elements."""
+def herm_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of Hermitian operators on one d-dimensional factor,
+    stacked as a (d², d, d) array: the normalized identity at index 0, then
+    the traceless elements."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    elements = [np.eye(d, dtype=complex) / np.sqrt(d)] + _gellmann_traceless(d)
-    return SubspaceBasis((), tuple(elements))
+    return np.stack([np.eye(d, dtype=complex) / np.sqrt(d)] + _gellmann_traceless(d))
 
 
-def _guard(labels: Sequence[Label]) -> None:
-    if _side(labels) > DIMENSION_GUARD:
-        raise ValueError(
-            f"total Hilbert dimension {_side(labels)} exceeds the dense guard {DIMENSION_GUARD}"
-        )
+def _check_bytes(labels: Sequence[Label]) -> None:
+    """Refuse when the dense operators held at once exceed ``BASIS_BYTES``.
+    Counts eight side² complex operators: ``verify`` and sampling grew peak
+    RSS by 7.5 of them at 10 qubits."""
+    size = 8 * _side(labels) ** 2 * 16
+    if size > BASIS_BYTES:
+        raise ValueError(f"dense operators need {size} bytes, over the budget of {BASIS_BYTES}")
+
+
+def _to_coefficients(op: OperatorMatrix) -> np.ndarray:
+    """Hilbert-Schmidt coefficients of op on the product basis, indexed
+    (d1², …, dn²).  After m factors the next label's ket axis is 0 and its
+    bra axis n - m; each contraction appends that label's coefficient axis."""
+    t = op.tensor_view()
+    n = len(op.labels)
+    for m, a in enumerate(op.labels):
+        t = np.tensordot(t, herm_basis(a.dimension).conj(), axes=([0, n - m], [1, 2]))
+    return t
+
+
+def _to_matrix(labels: tuple[Label, ...], coeffs: np.ndarray) -> OperatorMatrix:
+    """The operator with the given product-basis coefficients."""
+    for a in labels:  # appends each factor's (ket, bra) axes
+        coeffs = np.tensordot(coeffs, herm_basis(a.dimension), axes=(0, 0))
+    n, side = len(labels), _side(labels)
+    kets_then_bras = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return OperatorMatrix(labels, coeffs.transpose(kets_then_bras).reshape(side, side))
+
+
+def _block(word: BitWord, labels: Sequence[Label]) -> tuple[slice, ...]:
+    """One word's coefficients: identity index at its 1 bits, traceless at its 0 bits."""
+    return tuple(slice(0, 1) if word.bit(a) else slice(1, None) for a in labels)
 
 
 def basis_dimension(words: WordSet) -> int:
-    """Number of elements ``basis_for_words`` builds, counted without
-    building them: each word contributes d^2 - 1 per 0 bit."""
+    """Number of coefficients ``basis_for_words`` allows, counted without
+    building the mask: each word contributes d^2 - 1 per 0 bit."""
     total = 0
     for word in words:
         size = 1
@@ -261,34 +278,15 @@ def basis_dimension(words: WordSet) -> int:
     return total
 
 
-@lru_cache(maxsize=2)
 def basis_for_words(words: WordSet) -> SubspaceBasis:
-    """Orthonormal basis of the subspace spanned by the word set: traceless
-    factors where a bit is 0, the normalized identity where it is 1, in
-    canonical label order and the word set's iteration order.
-
-    Refuses before allocating when the dense elements would exceed
-    ``BASIS_BYTES``.  Cached per word set (one type and one comparison
-    target); callers must treat the elements as read-only.
-    """
+    """The subspace spanned by the word set: products of traceless factors
+    where a bit is 0 and the normalized identity where it is 1."""
     labels = canonical_universe(words.universe)
-    _guard(labels)
-    size = basis_dimension(words) * _side(labels) ** 2 * 16
-    if size > BASIS_BYTES:
-        raise ValueError(f"deviation basis needs {size} bytes, over the budget of {BASIS_BYTES}")
-    factor_options: dict[tuple[str, int], list[np.ndarray]] = {}
-    for a in labels:
-        factor_options[(a.name, 0)] = _gellmann_traceless(a.dimension)
-        factor_options[(a.name, 1)] = [np.eye(a.dimension, dtype=complex) / np.sqrt(a.dimension)]
-    elements: list[np.ndarray] = []
+    _check_bytes(labels)
+    allowed = np.zeros(tuple(a.dimension**2 for a in labels), dtype=bool)
     for word in words:
-        pools = [factor_options[(a.name, word.bit(a))] for a in labels]
-        for combo in product(*pools):
-            m = np.array([[1.0 + 0j]])
-            for factor in combo:
-                m = np.kron(m, factor)
-            elements.append(m)
-    return SubspaceBasis(labels, tuple(elements))
+        allowed[_block(word, labels)] = True
+    return SubspaceBasis(labels, allowed)
 
 
 def delta_basis(x: TypeExpr) -> SubspaceBasis:
@@ -304,22 +302,26 @@ def sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> 
     Starts from the normalization-scalar multiple of the identity, adds a
     seeded random combination of the deviation basis, and halves the
     deviation until the operator is positive.  Magnitude 0 gives the exact
-    identity-proportional map.
+    identity-proportional map.  The Gaussian draws fill the words' blocks
+    in word-set order, each block row-major in canonical label order.
     """
     analysis = io_partition(x)
     labels = canonical_universe(analysis.elementary)
-    _guard(labels)
+    _check_bytes(labels)
     lam = float(analysis.lam)
-    side = _side(labels)
-    base = lam * np.eye(side, dtype=complex)
+    base = lam * np.eye(_side(labels), dtype=complex)
     if magnitude == 0:
         return OperatorMatrix(labels, base)
-    basis = delta_basis(x)
-    rng = np.random.default_rng(seed)
-    coeffs = magnitude * rng.standard_normal(len(basis))
-    deviation = np.zeros((side, side), dtype=complex)
-    for c, element in zip(coeffs, basis.elements):
-        deviation += c * element
+    words = build_D(x)
+    basis = basis_for_words(words)
+    draws = magnitude * np.random.default_rng(seed).standard_normal(len(basis))
+    coeffs = np.zeros(basis.allowed.shape)
+    offset = 0
+    for word in words:
+        block = coeffs[_block(word, labels)]  # a view into coeffs
+        block[...] = draws[offset : offset + block.size].reshape(block.shape)
+        offset += block.size
+    deviation = _to_matrix(labels, coeffs).data
     for _ in range(60):
         data = base + deviation
         if float(np.linalg.eigvalsh(data)[0]) >= 0:
@@ -415,13 +417,9 @@ def membership_defects(x: TypeExpr, op: OperatorMatrix) -> dict[str, float]:
     herm = op.hermiticity_defect()
     negativity = max(0.0, -op.min_eigenvalue())
     coeff = op.trace().real / op.side
-    deviation = op.data - lam * np.eye(op.side)
     basis = delta_basis(x)
-    projected = np.zeros_like(deviation)
-    for element in basis.elements:
-        weight = np.vdot(element.reshape(-1), deviation.reshape(-1))
-        projected += weight * element
-    residual = float(np.linalg.norm(deviation - projected))
+    deviation = OperatorMatrix(labels, op.data - lam * np.eye(op.side))
+    residual = float(np.linalg.norm(_to_coefficients(deviation)[~basis.allowed]))
     return {
         "hermiticity": herm,
         "negativity": negativity,
@@ -460,7 +458,7 @@ def violation_witness(x: TypeExpr, a: Label | str, b: Label | str) -> OperatorMa
     if verdict.witness is None:
         raise ValueError(f"no word-level witness for reason {verdict.reason.value!r}")
     labels = canonical_universe(analysis.elementary)
-    _guard(labels)
+    _check_bytes(labels)
     word = verdict.witness
     factor = np.array([[1.0 + 0j]])
     for lbl in labels:

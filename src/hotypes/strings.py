@@ -297,7 +297,9 @@ def build_D(x: TypeExpr) -> WordSet:
     elementary_systems(x)  # reject duplicate labels before building
     left, right = build_D(x.left), build_D(x.right)
     w_left = full_set(left.universe)
-    return concat(w_left, right).union(concat(complement_bar(left), complement_perp(right)))
+    # bar(D_x) = W_x minus e_x minus D_x, taken from the W_x already built
+    bar_left = WordSet(left.universe, w_left.masks - left.masks - {all_ones(left.universe).bits})
+    return concat(w_left, right).union(concat(bar_left, complement_perp(right)))
 
 
 def _count_arrow(left, right):

@@ -237,30 +237,28 @@ def parse_type(text: str, system_table: Mapping[str, int] | None = None) -> Type
 
 def render_type(x: TypeExpr, sugar: bool = False) -> str:
     """Canonical text for x.  With ``sugar`` on, bar/tensor patterns print
-    as ``~``/``*`` instead of their arrow encodings.
+    as ``~``/``*`` instead of their arrow encodings.  Renders from an
+    explicit stack of pending text and subterms, so deep types raise no
+    ``RecursionError``.
     """
-    if isinstance(x, Trivial):
-        return TRIVIAL_NAME
-    if isinstance(x, Elementary):
-        return x.label.name
-    if sugar:
-        pair = as_tensor(x)
-        if pair is not None:
+    out: list[str] = []
+    todo: list = [x]  # pieces are pushed in reverse so they pop left to right
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Elementary):
+            out.append(node.label.name)
+        elif isinstance(node, Trivial):
+            out.append(TRIVIAL_NAME)
+        elif sugar and (pair := as_tensor(node)) is not None:
             left, right = pair
-            lhs = render_type(left, sugar=True)
-            if as_tensor(right) is not None:
-                rhs = f"({render_type(right, sugar=True)})"
-            else:
-                rhs = render_type(right, sugar=True)
-            return f"{lhs}*{rhs}"
-        operand = as_bar(x)
-        if operand is not None:
-            body = render_type(operand, sugar=True)
-            if as_tensor(operand) is not None:
-                body = f"({body})"
-            return f"~{body}"
-    assert isinstance(x, Arrow)
-    return f"({render_type(x.left, sugar)}->{render_type(x.right, sugar)})"
+            todo += [")", right, "*(", left] if as_tensor(right) is not None else [right, "*", left]
+        elif sugar and (operand := as_bar(node)) is not None:
+            todo += [")", operand, "~("] if as_tensor(operand) is not None else [operand, "~"]
+        else:
+            todo += [")", node.right, "->", node.left, "("]
+    return "".join(out)
 
 
 # --- relabeling and label structure -----------------------------------------

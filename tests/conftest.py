@@ -1,11 +1,14 @@
-"""Shared test helpers: seeded random type generation."""
+"""Shared test helpers: seeded random type generation and a dense
+product-basis builder kept as a test oracle."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Sequence
 
 import hypothesis
+import numpy as np
 from hypothesis import strategies as st
 
 from hotypes import (
@@ -14,10 +17,13 @@ from hotypes import (
     Label,
     TRIVIAL,
     TypeExpr,
+    WordSet,
     bar,
+    herm_basis,
     io_partition,
     tensor,
 )
+from hotypes.strings import canonical_universe
 
 hypothesis.settings.register_profile(
     "hotypes", deadline=None, max_examples=60, derandomize=True
@@ -94,3 +100,22 @@ def type_exprs(draw, max_systems: int = 5, dims: Sequence[int] = (2,)) -> TypeEx
 def type_exprs_with_io(draw, max_systems: int = 5, dims: Sequence[int] = (2,)) -> TypeExpr:
     seed = draw(st.integers(0, 2**32 - 1))
     return random_type_with_io(random.Random(seed), max_systems=max_systems, dims=dims)
+
+
+def dense_basis(words: WordSet) -> list[np.ndarray]:
+    """The product-basis elements spanned by a word set as dense matrices:
+    traceless factors at 0 bits, the normalized identity at 1 bits, in
+    canonical label order, word-set order, and row-major within a word."""
+    labels = canonical_universe(words.universe)
+    pools = {}
+    for a in labels:
+        stack = herm_basis(a.dimension)
+        pools[(a.name, 0)], pools[(a.name, 1)] = list(stack[1:]), [stack[0]]
+    elements = []
+    for word in words:
+        for combo in itertools.product(*(pools[(a.name, word.bit(a))] for a in labels)):
+            m = np.array([[1.0 + 0j]])
+            for factor in combo:
+                m = np.kron(m, factor)
+            elements.append(m)
+    return elements

@@ -249,6 +249,14 @@ class TestOracleVerify:
         assert "bytes" in err and "budget" in err
 
 
+    def test_eight_qubits_pass_the_three_way_check(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "verify", "(A->B)*(C->D)*(E->F)*(G->H)", "--trials", "2"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "failures: 0"
+
+
 class TestDimsHandling:
     def test_dims_file(self, capsys, tmp_path):
         dims = tmp_path / "dims.cfg"

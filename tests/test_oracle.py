@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
 
+import hotypes.oracle
 from hotypes import (
     ContractionSpec,
     Label,
@@ -30,6 +32,8 @@ from hotypes import (
     violation_witness,
 )
 from hotypes.oracle import (
+    _to_coefficients,
+    _to_matrix,
     basis_for_words,
     identity_operator,
     membership_defects,
@@ -38,7 +42,7 @@ from hotypes.oracle import (
     partial_transpose,
 )
 
-from conftest import random_type_with_io
+from conftest import dense_basis, random_type_with_io
 
 ALGEBRA_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -47,26 +51,26 @@ RESIDUAL_TOL = 1e-9
 class TestHermBasis:
     def test_one_dimensional_space(self):
         basis = herm_basis(1)
-        assert len(basis) == 1
-        assert np.allclose(basis.elements[0], [[1.0]])
+        assert basis.shape == (1, 1, 1)
+        assert np.allclose(basis[0], [[1.0]])
 
     def test_qubit_basis_shape(self):
         basis = herm_basis(2)
-        assert len(basis) == 4
-        assert np.allclose(basis.elements[0], np.eye(2) / np.sqrt(2))
-        for element in basis.elements[1:]:
+        assert basis.shape == (4, 2, 2)
+        assert np.allclose(basis[0], np.eye(2) / np.sqrt(2))
+        for element in basis[1:]:
             assert abs(np.trace(element)) < ALGEBRA_TOL
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_gram_matrix_is_identity(self, d):
         basis = herm_basis(d)
-        gram = basis.gram_matrix()
+        gram = np.einsum("kij,lij->kl", basis.conj(), basis)
         assert np.max(np.abs(gram - np.eye(d * d))) < ALGEBRA_TOL
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_elements_are_hermitian(self, d):
-        for element in herm_basis(d).elements:
-            assert np.max(np.abs(element - element.conj().T)) < ALGEBRA_TOL
+        basis = herm_basis(d)
+        assert np.max(np.abs(basis - basis.conj().transpose(0, 2, 1))) < ALGEBRA_TOL
 
 
 class TestDeltaBasis:
@@ -91,20 +95,87 @@ class TestDeltaBasis:
             assert len(delta_basis(x)) == expected
 
     def test_orthogonal_to_identity(self):
-        for text in ("A", "A->B", "(A->B)*(C->D)"):
-            basis = delta_basis(parse_type(text))
-            for element in basis.elements:
-                assert abs(np.trace(element)) < ALGEBRA_TOL
+        # the all-identity coefficient is the trace; no word set allows it
+        rng = random.Random(109)
+        types = [parse_type(text) for text in ("A", "A->B", "(A->B)*(C->D)")]
+        types += [random_type_with_io(rng, max_systems=4, dims=(2, 3)) for _ in range(20)]
+        for x in types:
+            allowed = delta_basis(x).allowed
+            assert allowed.shape == tuple(a.dimension**2 for a in delta_basis(x).labels)
+            assert not allowed[(0,) * allowed.ndim]
 
     def test_orthonormal(self):
-        basis = delta_basis(parse_type("A->B"))
-        gram = basis.gram_matrix()
-        assert np.max(np.abs(gram - np.eye(len(basis)))) < ALGEBRA_TOL
+        # the coefficient transform is unitary: a round trip is the identity
+        labels = (Label("A", 2), Label("B", 3), Label("C", 2))
+        rng = np.random.default_rng(113)
+        coeffs = rng.standard_normal((4, 9, 4)) + 1j * rng.standard_normal((4, 9, 4))
+        op = _to_matrix(labels, coeffs)
+        assert np.max(np.abs(_to_coefficients(op) - coeffs)) < ALGEBRA_TOL
+        assert np.linalg.norm(op.data) == pytest.approx(np.linalg.norm(coeffs), rel=1e-12)
+        data = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        back = _to_matrix(labels, _to_coefficients(OperatorMatrix(labels, data)))
+        assert np.max(np.abs(back.data - data)) < ALGEBRA_TOL
 
-    def test_dimension_guard(self):
-        big = parse_type("A->B", {"A": 17, "B": 17})
-        with pytest.raises(ValueError):
-            delta_basis(big)
+    def test_byte_budget_refusal(self, monkeypatch):
+        x = parse_type("A->B", {"A": 3, "B": 2})
+        monkeypatch.setattr(hotypes.oracle, "BASIS_BYTES", 1)
+        with pytest.raises(ValueError, match="budget") as refused:
+            delta_basis(x)
+        estimate = int(re.search(r"need (\d+) bytes", str(refused.value)).group(1))
+        assert estimate % (6 * 6 * 16) == 0
+        monkeypatch.setattr(hotypes.oracle, "BASIS_BYTES", estimate - 1)
+        for call in (lambda: delta_basis(x), lambda: sample_deterministic(x, seed=1)):
+            with pytest.raises(ValueError, match=f"need {estimate} bytes"):
+                call()
+        monkeypatch.setattr(hotypes.oracle, "BASIS_BYTES", estimate)
+        assert len(delta_basis(x)) == 8 * 3 + 3  # words {00, 10}
+        assert sample_deterministic(x, seed=1).side == 6
+
+
+class TestDenseOracle:
+    """The coefficient transforms agree with the dense product elements."""
+
+    def _types(self):
+        rng = random.Random(127)
+        found = []
+        while len(found) < 24:
+            x = random_type_with_io(rng, max_systems=4, dims=(2, 3))
+            side = int(np.prod([a.dimension for a in io_partition(x).elementary]))
+            if side <= 24:
+                found.append(x)
+        return found
+
+    def test_sampling_matches_the_dense_sum(self):
+        dims_seen = set()
+        for seed, x in enumerate(self._types()):
+            analysis = io_partition(x)
+            dims_seen |= {a.dimension for a in analysis.elementary}
+            elements = dense_basis(build_D(x))
+            lam = float(analysis.lam)
+            side = int(np.prod([a.dimension for a in analysis.elementary]))
+            coeffs = np.random.default_rng(seed).standard_normal(len(elements))
+            deviation = np.zeros((side, side), dtype=complex)
+            for c, element in zip(coeffs, elements):
+                deviation += c * element
+            while np.linalg.eigvalsh(lam * np.eye(side) + deviation)[0] < 0:
+                deviation /= 2
+            sample = sample_deterministic(x, seed=seed)
+            assert np.max(np.abs(sample.data - lam * np.eye(side) - deviation)) < ALGEBRA_TOL
+        assert dims_seen == {2, 3}
+
+    def test_membership_residual_matches_the_dense_projection(self):
+        for seed, x in enumerate(self._types()):
+            analysis = io_partition(x)
+            labels = delta_basis(x).labels
+            side = int(np.prod([a.dimension for a in labels]))
+            rng = np.random.default_rng(seed)
+            deviation = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+            data = float(analysis.lam) * np.eye(side) + deviation
+            projected = np.zeros_like(deviation)
+            for element in dense_basis(build_D(x)):
+                projected += np.vdot(element, deviation) * element
+            residual = membership_defects(x, OperatorMatrix(labels, data))["subspace_residual"]
+            assert residual == pytest.approx(np.linalg.norm(deviation - projected), abs=ALGEBRA_TOL)
 
 
 class TestSampling:
@@ -385,17 +456,12 @@ class TestStringOperatorCompatibility:
             a = sorted(analysis.inputs)[0]
             b = sorted(analysis.outputs)[0]
             basis = delta_basis(x)
-            coeffs = np.random.default_rng(rng.randint(0, 999)).standard_normal(len(basis))
-            deviation = sum(c * t for c, t in zip(coeffs, basis.elements))
-            op = OperatorMatrix(basis.labels, deviation.astype(complex))
-            contracted = numeric_contraction(op, a, b)
-            target_words = contract_set(build_D(x), [(a, b)])
-            target_basis = basis_for_words(target_words)
-            projected = np.zeros_like(contracted.data)
-            for element in target_basis.elements:
-                weight = np.vdot(element.reshape(-1), contracted.data.reshape(-1))
-                projected += weight * element
-            residual = np.linalg.norm(contracted.data - projected)
+            coeffs = np.zeros(basis.allowed.shape)
+            coeffs[basis.allowed] = np.random.default_rng(rng.randint(0, 999)).standard_normal(len(basis))
+            contracted = numeric_contraction(_to_matrix(basis.labels, coeffs), a, b)
+            target = basis_for_words(contract_set(build_D(x), [(a, b)]))
+            assert target.labels == contracted.labels
+            residual = np.linalg.norm(_to_coefficients(contracted)[~target.allowed])
             assert residual < RESIDUAL_TOL
 
 

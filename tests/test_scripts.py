@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import hotypes.oracle
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -37,3 +40,35 @@ def test_crossvalidate_reports_no_disagreements():
     )
     assert result.returncode == 0
     assert "0 disagreements" in result.stdout
+
+
+def test_crossvalidate_reaches_eight_qubits():
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(SCRIPTS / "crossvalidate.py"),
+            "--max-systems",
+            "8",
+            "--types",
+            "5",
+            "--trials",
+            "2",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert "0 disagreements" in result.stdout
+
+
+def test_crossvalidate_refusal_is_a_usage_error(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("crossvalidate", SCRIPTS / "crossvalidate.py")
+    crossvalidate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(crossvalidate)
+    monkeypatch.setattr(hotypes.oracle, "BASIS_BYTES", 1)
+    code = crossvalidate.main(["--types", "2", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "bytes, over the budget of 1" in captured.err

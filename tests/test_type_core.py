@@ -355,6 +355,17 @@ class TestDeepInput:
         renamed = _rename_labels(relabeled, {"A1": "B"})
         assert elementary_systems(renamed) == (Label("A"), Label("B"))
 
+    def test_rendering_needs_no_recursion(self):
+        deep = el("A")
+        for _ in range(5000):
+            deep = bar(deep)
+        assert render_type(deep) == "(" * 5000 + "A" + "->I)" * 5000
+        assert render_type(deep, sugar=True) == "~" * 5000 + "A"
+        chain = el("A")
+        for _ in range(3000):
+            chain = tensor(el("B"), chain)
+        assert render_type(chain, sugar=True) == "B*(" * 2999 + "B*A" + ")" * 2999
+
 
 class TestConstructors:
     def test_tensor_definition_matches_parse(self):
