@@ -1,24 +1,28 @@
 """Decision procedures over the string calculus.
 
-Every check reduces to exact word-set computations: type inclusion to a
-subset test on D sets, contraction and composition admissibility to
-emptiness of the intersection with a critical set.  Verdicts carry a
-machine-checkable witness whenever they reject.
+Type inclusion is a subset test on enumerated D sets.  Contraction and
+composition admissibility is emptiness of D_x against a critical set,
+decided without building either: one pass over the type tree per pair-bit
+pattern sorts words into three classes (in D, all-ones, neither), so a
+pattern costs O(labels) and k pairs cost 2^k - 1 patterns, refused above
+``strings.PATTERN_BUDGET``.  Verdicts carry a machine-checkable witness
+whenever they reject: the smallest offending word in sorted-name order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .strings import BitWord, build_D, critical_set_multi
+from .strings import BitWord, _critical_word, build_D
 from .type_core import (
     Arrow,
     Elementary,
     Label,
     TRIVIAL,
     TypeExpr,
+    _flat_tree,
     _fold,
     elementary_systems,
     io_partition,
@@ -141,10 +145,10 @@ def check_equivalence(x: TypeExpr, y: TypeExpr) -> Verdict:
 
 # --- contraction admissibility --------------------------------------------------
 
-def _resolve_pairs(analysis, spec: ContractionSpec) -> list[tuple[Label, Label]]:
+def _resolve_pairs(labels: Sequence[Label], spec: ContractionSpec) -> list[tuple[Label, Label]]:
     """Bind pair labels by name to the type's own systems; the two systems
     of one pair must share a dimension."""
-    by_name = {a.name: a for a in analysis.elementary}
+    by_name = {a.name: a for a in labels}
     resolved = []
     for a, b in spec.pairs:
         for lbl in (a, b):
@@ -161,12 +165,12 @@ def _resolve_pairs(analysis, spec: ContractionSpec) -> list[tuple[Label, Label]]
 
 
 def _orient_pairs(
-    analysis, pairs: list[tuple[Label, Label]]
+    inputs: Collection[Label], pairs: list[tuple[Label, Label]]
 ) -> tuple[Verdict | None, list[tuple[Label, Label]]]:
     """Normalize each pair to (input, output); reject in-in and out-out."""
     oriented = []
     for a, b in pairs:
-        a_in, b_in = a in analysis.inputs, b in analysis.inputs
+        a_in, b_in = a in inputs, b in inputs
         if a_in and b_in:
             return Verdict(False, Reason.INPUT_INPUT), []
         if not a_in and not b_in:
@@ -180,29 +184,22 @@ def check_contraction(x: TypeExpr, spec: ContractionSpec) -> Verdict:
 
     Pairs joining two inputs or two outputs are rejected outright; the rest
     reduce to an emptiness test of D_x against the critical set of the
-    oriented pairs.
+    oriented pairs, decided by the class pass over the type tree.
     """
-    analysis = io_partition(x)
-    rejection, oriented = _orient_pairs(analysis, _resolve_pairs(analysis, spec))
+    tree = _flat_tree(x)
+    inputs, outputs = tree.inputs(), tree.outputs()
+    rejection, oriented = _orient_pairs(set(inputs), _resolve_pairs(tree.labels, spec))
     if rejection is not None:
         return rejection
-    if not oriented:
-        return Verdict(
-            True,
-            Reason.OK,
-            result_in=analysis.inputs_ordered(),
-            result_out=analysis.outputs_ordered(),
-        )
-    obstruction = critical_set_multi(x, oriented)
-    hits = build_D(x).intersection(obstruction)
-    if hits.masks:
-        return Verdict(False, Reason.CRITICAL_SET, witness=hits.min_word())
+    witness = _critical_word(tree, oriented) if oriented else None
+    if witness is not None:
+        return Verdict(False, Reason.CRITICAL_SET, witness=witness)
     contracted = {name for pair in oriented for name in (pair[0].name, pair[1].name)}
     return Verdict(
         True,
         Reason.OK,
-        result_in=tuple(a for a in analysis.inputs_ordered() if a.name not in contracted),
-        result_out=tuple(a for a in analysis.outputs_ordered() if a.name not in contracted),
+        result_in=tuple(a for a in inputs if a.name not in contracted),
+        result_out=tuple(a for a in outputs if a.name not in contracted),
     )
 
 
@@ -300,7 +297,7 @@ def supermap_inclusion_form(x: TypeExpr, spec: ContractionSpec) -> Verdict:
     check_inclusion against it.  Agrees with check_contraction.
     """
     analysis = io_partition(x)
-    rejection, oriented = _orient_pairs(analysis, _resolve_pairs(analysis, spec))
+    rejection, oriented = _orient_pairs(analysis.inputs, _resolve_pairs(analysis.elementary, spec))
     if rejection is not None:
         raise ValueError(f"pairs must join inputs with outputs ({rejection.reason.value})")
     if not oriented:

@@ -3,8 +3,9 @@
 For an input A and output B, the minimal enclosing subterm decides the
 relation: A an input of that subterm means full signalling from A to B,
 A an output means no signalling.  The structural algorithm never builds
-word sets, so it stays polynomial in the length of the type; the word-set
-route is kept as an independent cross-check.
+word sets, so it stays polynomial in the length of the type; the
+critical-set route, decided by the class pass of ``strings``, is kept as
+an independent cross-check.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .strings import build_D, critical_set
+from .strings import _critical_word
 from .type_core import (
     Label,
     TypeExpr,
     _enclosing,
+    _flat_tree,
     _LeafPath,
     _root_paths,
     bar,
@@ -76,11 +78,10 @@ def _verdict(a: Label, b: Label, paths: dict[str, _LeafPath]) -> SignallingVerdi
 
 
 def full_signalling(x: TypeExpr, a: Label | str, b: Label | str) -> bool:
-    """Word-set test for full signalling from input a to output b: the
+    """Critical-set test for full signalling from input a to output b: the
     reversed contraction on the dual type must be admissible."""
     la, lb = _resolve_pair(x, a, b)
-    dual = bar(x)
-    return not build_D(dual).intersection(critical_set(dual, lb, la)).masks
+    return _critical_word(_flat_tree(bar(x)), [(lb, la)]) is None
 
 
 def signalling_matrix(x: TypeExpr) -> list[SignallingVerdict]:
@@ -98,10 +99,12 @@ def signalling_matrix(x: TypeExpr) -> list[SignallingVerdict]:
 
 def crosscheck(x: TypeExpr) -> bool:
     """Structural verdicts against critical-set admissibility, pair by pair:
-    no signalling must coincide exactly with an admissible contraction."""
-    d = build_D(x)
+    no signalling must coincide exactly with an admissible contraction.
+    Admissibility comes from the class pass over the type tree, which,
+    unlike ``check_contraction``, also takes pairs of unequal dimension."""
+    tree = _flat_tree(x)
     for row in signalling_matrix(x):
-        admissible = not d.intersection(critical_set(x, row.source, row.target)).masks
+        admissible = _critical_word(tree, [(row.source, row.target)]) is None
         if admissible != (row.relation is Relation.NO_SIGNALLING):
             return False
     return True

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 TRIVIAL_NAME = "I"
 
@@ -291,17 +291,71 @@ def _leaf_paths(x: TypeExpr) -> list[_LeafPath]:
     return leaves
 
 
-def _distinct_labels(leaves: list[_LeafPath]) -> tuple[Label, ...]:
-    labels: list[Label] = []
+def _distinct_labels(labels: list[Label]) -> tuple[Label, ...]:
     seen: set[str] = set()
-    for node, _ in leaves:
-        if node.label.name in seen:
+    for label in labels:
+        if label.name in seen:
             raise DuplicateLabelError(
-                f"label {node.label.name!r} occurs more than once; apply relabel_unique first"
+                f"label {label.name!r} occurs more than once; apply relabel_unique first"
             )
-        seen.add(node.label.name)
-        labels.append(node.label)
+        seen.add(label.name)
     return tuple(labels)
+
+
+class _FlatTree(NamedTuple):
+    """A type as post-order arrays, children before parents, so the root
+    is the last node.  Node j is an arrow when ``left[j]`` is not -1, with
+    sides ``left[j]`` and ``right[j]``; otherwise it is a leaf.  Label i
+    (textual order) sits at node ``leaf_node[i]`` and has K parity
+    ``k[i]``; leaves of ``I`` belong to no label.  ``parent`` is -1 at the
+    root."""
+
+    labels: tuple[Label, ...]
+    k: tuple[int, ...]
+    leaf_node: tuple[int, ...]
+    left: list[int]
+    right: list[int]
+    parent: list[int]
+
+    def inputs(self) -> tuple[Label, ...]:
+        return tuple(a for a, k in zip(self.labels, self.k) if k == 1)
+
+    def outputs(self) -> tuple[Label, ...]:
+        return tuple(a for a, k in zip(self.labels, self.k) if k == 0)
+
+
+def _flat_tree(x: TypeExpr) -> _FlatTree:
+    """One iterative post-order walk of x: its labels in textual order
+    (a repeated name raises), their K parities (left turns on the root
+    path, see below) and the node arrays."""
+    labels: list[Label] = []
+    k: list[int] = []
+    leaf_node: list[int] = []
+    left: list[int] = []
+    right: list[int] = []
+    parent: list[int] = []
+    finished: list[int] = []  # nodes whose parent is not yet numbered
+    todo: list[tuple[TypeExpr, int, bool]] = [(x, 0, False)]
+    while todo:
+        node, parity, sides_done = todo.pop()
+        if isinstance(node, Arrow) and not sides_done:
+            todo += [(node, parity, True), (node.right, parity, False), (node.left, 1 - parity, False)]
+            continue
+        j = len(left)
+        if isinstance(node, Arrow):
+            r, l = finished.pop(), finished.pop()
+            parent[l] = parent[r] = j
+        else:
+            l = r = -1
+            if isinstance(node, Elementary):
+                leaf_node.append(j)
+                labels.append(node.label)
+                k.append(parity)
+        left.append(l)
+        right.append(r)
+        parent.append(-1)
+        finished.append(j)
+    return _FlatTree(_distinct_labels(labels), tuple(k), tuple(leaf_node), left, right, parent)
 
 
 def elementary_systems(x: TypeExpr) -> tuple[Label, ...]:
@@ -309,7 +363,7 @@ def elementary_systems(x: TypeExpr) -> tuple[Label, ...]:
 
     Requires x to be relabeled: a duplicate label raises.
     """
-    return _distinct_labels(_leaf_paths(x))
+    return _flat_tree(x).labels
 
 
 def relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
@@ -442,13 +496,15 @@ def io_partition(x: TypeExpr) -> IoAnalysis:
     """Split Ele_x into inputs (K = 1) and outputs (K = 0) and compute lambda
     by the recursion lambda_E = 1/d_E, lambda_I = 1,
     lambda_{x->y} = lambda_y / (d_x lambda_x)."""
-    leaves = _leaf_paths(x)
-    elementary = _distinct_labels(leaves)
-    k = {node.label: _left_parity(path) for node, path in leaves}
-    inputs = frozenset(a for a in elementary if k[a] == 1)
-    outputs = frozenset(a for a in elementary if k[a] == 0)
+    tree = _flat_tree(x)
     num, den, _ = _fold(x, lambda a: (1, a.dimension, a.dimension), (1, 1, 1), _lambda_arrow)
-    return IoAnalysis(elementary, inputs, outputs, k, Fraction(num, den))
+    return IoAnalysis(
+        tree.labels,
+        frozenset(tree.inputs()),
+        frozenset(tree.outputs()),
+        dict(zip(tree.labels, tree.k)),
+        Fraction(num, den),
+    )
 
 
 # --- the subterm partial order ----------------------------------------------

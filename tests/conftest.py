@@ -1,5 +1,6 @@
-"""Shared test helpers: seeded random type generation and a dense
-product-basis builder kept as a test oracle."""
+"""Shared test helpers: seeded random type generation and two test
+oracles, a dense product-basis builder and the enumerated critical-set
+intersection."""
 
 from __future__ import annotations
 
@@ -17,8 +18,11 @@ from hotypes import (
     Label,
     TRIVIAL,
     TypeExpr,
+    BitWord,
     WordSet,
     bar,
+    build_D,
+    critical_set_multi,
     herm_basis,
     io_partition,
     tensor,
@@ -119,3 +123,11 @@ def dense_basis(words: WordSet) -> list[np.ndarray]:
                 m = np.kron(m, factor)
             elements.append(m)
     return elements
+
+
+def enumerated_critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord | None:
+    """The smallest word of D_x in the critical set of the (input, output)
+    pairs, by building both sets and intersecting them; None when they
+    miss each other."""
+    hits = build_D(x).intersection(critical_set_multi(x, pairs))
+    return hits.min_word() if hits.masks else None

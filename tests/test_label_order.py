@@ -126,6 +126,24 @@ def test_set_operations_across_label_orders():
         assert d.union(moved) == d
 
 
+def test_set_operations_across_label_orders_past_one_byte():
+    # universes of 9 to 63 labels re-index several bytes of each mask
+    rng = random.Random(89)
+    for size in (9, 16, 17, 40, 63):
+        labels = [Label(f"L{i}") for i in range(size)]
+        order = labels[:]
+        rng.shuffle(order)
+        words = [{a.name: rng.randrange(2) for a in labels} for _ in range(50)]
+        here, there = WordSet(tuple(labels)), WordSet(tuple(order))
+        a = WordSet(here.universe, frozenset(here.word(w).bits for w in words))
+        b = WordSet(there.universe, frozenset(there.word(w).bits for w in words[::2]))
+        assert b.is_subset(a) and not a.is_subset(b)
+        assert a.intersection(b).render() == b.render()
+        assert set(a.difference(b).render()) == set(a.render()) - set(b.render())
+        assert a.union(b).masks == a.masks
+        assert all(w in a for w in b)
+
+
 def test_permuted_channels_and_supermaps():
     assert check_equivalence(parse_type("(C->D)*(A->B)"), parse_type("(A->B)*(C->D)")).admissible
     narrow, wide = parse_type("((D->C)->(B->A))"), parse_type("((C*B)->(A*D))")
