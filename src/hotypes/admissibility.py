@@ -226,9 +226,9 @@ def check_composition(x: TypeExpr, y: TypeExpr) -> Verdict:
     the shared labels of y renamed apart first.  No shared labels means a
     plain tensor, which is always admissible.
     """
-    ax, ay = io_partition(x), io_partition(y)
-    dims_x = {a.name: a.dimension for a in ax.elementary}
-    dims_y = {a.name: a.dimension for a in ay.elementary}
+    tx, ty = _flat_tree(x), _flat_tree(y)
+    dims_x = {a.name: a.dimension for a in tx.labels}
+    dims_y = {a.name: a.dimension for a in ty.labels}
     shared = sorted(set(dims_x) & set(dims_y))
     for name in shared:
         if dims_x[name] != dims_y[name]:
@@ -236,14 +236,10 @@ def check_composition(x: TypeExpr, y: TypeExpr) -> Verdict:
                 f"shared label {name!r} has dimension {dims_x[name]} in one type "
                 f"and {dims_y[name]} in the other"
             )
-    inputs_x = {a.name for a in ax.inputs}
-    inputs_y = {a.name for a in ay.inputs}
-    result_in = tuple(
-        a for a in ax.inputs_ordered() + ay.inputs_ordered() if a.name not in shared
-    )
-    result_out = tuple(
-        a for a in ax.outputs_ordered() + ay.outputs_ordered() if a.name not in shared
-    )
+    inputs_x = {a.name for a in tx.inputs()}
+    inputs_y = {a.name for a in ty.inputs()}
+    result_in = tuple(a for a in tx.inputs() + ty.inputs() if a.name not in shared)
+    result_out = tuple(a for a in tx.outputs() + ty.outputs() if a.name not in shared)
     if not shared:
         return Verdict(True, Reason.OK, result_in=result_in, result_out=result_out)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .admissibility import ContractionSpec, check_contraction
 from .signalling import Relation, signals
-from .strings import BitWord, WordSet, build_D, canonical_universe
-from .type_core import Label, TypeExpr, io_partition
+from .strings import BitWord, WordSet, _count_arrow, build_D, canonical_universe
+from .type_core import Label, TypeExpr, _fold, io_partition
 
 BASIS_BYTES = 1 << 30
 
@@ -265,17 +265,12 @@ def _block(word: BitWord, labels: Sequence[Label]) -> tuple[slice, ...]:
     return tuple(slice(0, 1) if word.bit(a) else slice(1, None) for a in labels)
 
 
-def basis_dimension(words: WordSet) -> int:
-    """Number of coefficients ``basis_for_words`` allows, counted without
-    building the mask: each word contributes d^2 - 1 per 0 bit."""
-    total = 0
-    for word in words:
-        size = 1
-        for a in words.universe:
-            if not word.bit(a):
-                size *= a.dimension**2 - 1
-        total += size
-    return total
+def basis_dimension(x: TypeExpr) -> int:
+    """Number of coefficients ``basis_for_words(build_D(x))`` allows,
+    counted without enumerating D_x: the three-class count of
+    ``strings.word_count`` with each 0 bit weighted by d^2 - 1, so a label
+    counts (d^2 - 1, 1, d^2) for (in D, all-ones, all words)."""
+    return _fold(x, lambda a: (a.dimension**2 - 1, 1, a.dimension**2), (0, 1, 1), _count_arrow)[0]
 
 
 def basis_for_words(words: WordSet) -> SubspaceBasis:
@@ -518,9 +513,8 @@ def verify(
     analysis = io_partition(x)
     inputs, outputs = analysis.inputs_ordered(), analysis.outputs_ordered()
     lambda_ok = analysis.lam == Fraction(1, _side(outputs))
-    words = build_D(x)
-    basis_size = len(basis_for_words(words))
-    basis_ok = basis_size == basis_dimension(words)
+    basis_size = len(basis_for_words(build_D(x)))
+    basis_ok = basis_size == basis_dimension(x)
     if trials <= 0:
         pairs = []
     elif pairs is None:

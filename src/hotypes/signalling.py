@@ -2,7 +2,10 @@
 
 For an input A and output B, the minimal enclosing subterm decides the
 relation: A an input of that subterm means full signalling from A to B,
-A an output means no signalling.  The structural algorithm never builds
+A an output means no signalling.  One walk turns the type into the flat
+tree of ``type_core``; the enclosing subterm is the first node above A's
+leaf whose node range holds B's leaf, and A's K inside it is A's K xor
+the left-turn parity at that node.  The structural algorithm never builds
 word sets, so it stays polynomial in the length of the type; the
 critical-set route, decided by the class pass of ``strings``, is kept as
 an independent cross-check.
@@ -14,17 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .strings import _critical_word
-from .type_core import (
-    Label,
-    TypeExpr,
-    _enclosing,
-    _flat_tree,
-    _LeafPath,
-    _root_paths,
-    bar,
-    io_partition,
-    render_type,
-)
+from .type_core import Label, TypeExpr, _flat_tree, _FlatTree, bar, render_type
 
 
 class Relation(str, Enum):
@@ -48,16 +41,20 @@ class SignallingVerdict:
         }
 
 
-def _resolve_pair(x: TypeExpr, a: Label | str, b: Label | str) -> tuple[Label, Label]:
-    analysis = io_partition(x)
-    by_name = {lbl.name: lbl for lbl in analysis.elementary}
+def _resolve_pair(
+    tree: _FlatTree, a: Label | str, b: Label | str, input_k: int = 1
+) -> tuple[int, int]:
+    """Textual positions of input a and output b.  Inputs are the labels
+    with K = ``input_k``: 1 in the tree of the type, 0 in that of its dual."""
+    index = {lbl.name: i for i, lbl in enumerate(tree.labels)}
     name_a = a.name if isinstance(a, Label) else a
     name_b = b.name if isinstance(b, Label) else b
-    if name_a not in by_name or by_name[name_a] not in analysis.inputs:
+    i, j = index.get(name_a), index.get(name_b)
+    if i is None or tree.k[i] != input_k:
         raise ValueError(f"{name_a!r} is not an input system of the type")
-    if name_b not in by_name or by_name[name_b] not in analysis.outputs:
+    if j is None or tree.k[j] == input_k:
         raise ValueError(f"{name_b!r} is not an output system of the type")
-    return by_name[name_a], by_name[name_b]
+    return i, j
 
 
 def signals(x: TypeExpr, a: Label | str, b: Label | str) -> SignallingVerdict:
@@ -67,34 +64,35 @@ def signals(x: TypeExpr, a: Label | str, b: Label | str) -> SignallingVerdict:
     the type signals (fully) from a to b; a flipping to an output role
     means no signalling.
     """
-    la, lb = _resolve_pair(x, a, b)
-    return _verdict(la, lb, _root_paths(x))
+    tree = _flat_tree(x)
+    return _verdict(tree, *_resolve_pair(tree, a, b))
 
 
-def _verdict(a: Label, b: Label, paths: dict[str, _LeafPath]) -> SignallingVerdict:
-    enclosing, k = _enclosing(paths[a.name], paths[b.name])
+def _verdict(tree: _FlatTree, i: int, j: int) -> SignallingVerdict:
+    node, k = tree.enclosing(i, j)
     relation = Relation.FULL_SIGNALLING if k == 1 else Relation.NO_SIGNALLING
-    return SignallingVerdict(a, b, relation, enclosing)
+    return SignallingVerdict(tree.labels[i], tree.labels[j], relation, tree.term[node])
 
 
 def full_signalling(x: TypeExpr, a: Label | str, b: Label | str) -> bool:
     """Critical-set test for full signalling from input a to output b: the
     reversed contraction on the dual type must be admissible."""
-    la, lb = _resolve_pair(x, a, b)
-    return _critical_word(_flat_tree(bar(x)), [(lb, la)]) is None
+    dual = _flat_tree(bar(x))
+    i, j = _resolve_pair(dual, a, b, input_k=0)
+    return _critical_word(dual, [(dual.labels[j], dual.labels[i])]) is None
 
 
 def signalling_matrix(x: TypeExpr) -> list[SignallingVerdict]:
     """One verdict per (input, output) pair, inputs then outputs in textual
-    order.  The type is analysed once; each pair then costs one comparison
-    of two root paths."""
-    analysis = io_partition(x)
-    paths = _root_paths(x)
-    return [
-        _verdict(a, b, paths)
-        for a in analysis.inputs_ordered()
-        for b in analysis.outputs_ordered()
-    ]
+    order.  The type is walked once into a flat tree; each pair then climbs
+    from the input's leaf to the first node whose subterm holds the output."""
+    return _rows(_flat_tree(x))
+
+
+def _rows(tree: _FlatTree) -> list[SignallingVerdict]:
+    inputs = [i for i, k in enumerate(tree.k) if k == 1]
+    outputs = [j for j, k in enumerate(tree.k) if k == 0]
+    return [_verdict(tree, i, j) for i in inputs for j in outputs]
 
 
 def crosscheck(x: TypeExpr) -> bool:
@@ -103,7 +101,7 @@ def crosscheck(x: TypeExpr) -> bool:
     Admissibility comes from the class pass over the type tree, which,
     unlike ``check_contraction``, also takes pairs of unequal dimension."""
     tree = _flat_tree(x)
-    for row in signalling_matrix(x):
+    for row in _rows(tree):
         admissible = _critical_word(tree, [(row.source, row.target)]) is None
         if admissible != (row.relation is Relation.NO_SIGNALLING):
             return False

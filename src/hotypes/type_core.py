@@ -263,34 +263,6 @@ def render_type(x: TypeExpr, sugar: bool = False) -> str:
 
 # --- relabeling and label structure -----------------------------------------
 
-_RootPath = list[tuple[Arrow, bool]]
-_LeafPath = tuple[Elementary, _RootPath]
-
-
-def _leaf_paths(x: TypeExpr) -> list[_LeafPath]:
-    """Every elementary leaf of x in left-to-right textual order, with its
-    root path: the arrows from the root down to the leaf, outermost first,
-    each paired with True where the path turns into the arrow's left side.
-
-    One iterative pass, so arbitrarily deep types cost no recursion; the
-    shared path stack is copied only at the leaves.
-    """
-    leaves: list[_LeafPath] = []
-    path: _RootPath = []
-    todo: list[tuple[TypeExpr, int, tuple[Arrow, bool] | None]] = [(x, 0, None)]
-    while todo:
-        node, depth, step = todo.pop()
-        del path[depth:]
-        if step is not None:
-            path.append(step)
-        if isinstance(node, Arrow):
-            todo.append((node.right, len(path), (node, False)))
-            todo.append((node.left, len(path), (node, True)))
-        elif isinstance(node, Elementary):
-            leaves.append((node, path.copy()))
-    return leaves
-
-
 def _distinct_labels(labels: list[Label]) -> tuple[Label, ...]:
     seen: set[str] = set()
     for label in labels:
@@ -304,11 +276,14 @@ def _distinct_labels(labels: list[Label]) -> tuple[Label, ...]:
 
 class _FlatTree(NamedTuple):
     """A type as post-order arrays, children before parents, so the root
-    is the last node.  Node j is an arrow when ``left[j]`` is not -1, with
-    sides ``left[j]`` and ``right[j]``; otherwise it is a leaf.  Label i
-    (textual order) sits at node ``leaf_node[i]`` and has K parity
-    ``k[i]``; leaves of ``I`` belong to no label.  ``parent`` is -1 at the
-    root."""
+    is the last node and the nodes of a subterm are numbered contiguously
+    from ``first[j]`` to its top node j.  Node j holds the subterm
+    ``term[j]``; it is an arrow when ``left[j]`` is not -1, with sides
+    ``left[j]`` and ``right[j]``, and otherwise a leaf.  ``parent`` is -1
+    at the root, and ``turns[j]`` is the parity of the left turns on the
+    path from the root down to node j.  Label i (textual order) sits at
+    node ``leaf_node[i]`` and has K parity ``k[i]``; leaves of ``I``
+    belong to no label."""
 
     labels: tuple[Label, ...]
     k: tuple[int, ...]
@@ -316,12 +291,33 @@ class _FlatTree(NamedTuple):
     left: list[int]
     right: list[int]
     parent: list[int]
+    first: list[int]
+    turns: list[int]
+    term: list[TypeExpr]
 
     def inputs(self) -> tuple[Label, ...]:
         return tuple(a for a, k in zip(self.labels, self.k) if k == 1)
 
     def outputs(self) -> tuple[Label, ...]:
         return tuple(a for a, k in zip(self.labels, self.k) if k == 0)
+
+    def position(self, label: Label | str) -> int:
+        """Textual position of the label, found by name."""
+        name = label.name if isinstance(label, Label) else label
+        for i, a in enumerate(self.labels):
+            if a.name == name:
+                return i
+        raise ValueError(f"label {name!r} does not occur in the type")
+
+    def enclosing(self, i: int, j: int) -> tuple[int, int]:
+        """The node of the smallest subterm holding labels i and j, and K
+        of label i inside that subterm: climb from leaf i until the node's
+        range covers leaf j; the left turns below the node are those on
+        the root path of i minus those above the node."""
+        node, target = self.leaf_node[i], self.leaf_node[j]
+        while not self.first[node] <= target <= node:
+            node = self.parent[node]
+        return node, self.k[i] ^ self.turns[node]
 
 
 def _flat_tree(x: TypeExpr) -> _FlatTree:
@@ -334,6 +330,9 @@ def _flat_tree(x: TypeExpr) -> _FlatTree:
     left: list[int] = []
     right: list[int] = []
     parent: list[int] = []
+    first: list[int] = []
+    turns: list[int] = []
+    term: list[TypeExpr] = []
     finished: list[int] = []  # nodes whose parent is not yet numbered
     todo: list[tuple[TypeExpr, int, bool]] = [(x, 0, False)]
     while todo:
@@ -345,8 +344,10 @@ def _flat_tree(x: TypeExpr) -> _FlatTree:
         if isinstance(node, Arrow):
             r, l = finished.pop(), finished.pop()
             parent[l] = parent[r] = j
+            first.append(first[l])
         else:
             l = r = -1
+            first.append(j)
             if isinstance(node, Elementary):
                 leaf_node.append(j)
                 labels.append(node.label)
@@ -354,8 +355,12 @@ def _flat_tree(x: TypeExpr) -> _FlatTree:
         left.append(l)
         right.append(r)
         parent.append(-1)
+        turns.append(parity)
+        term.append(node)
         finished.append(j)
-    return _FlatTree(_distinct_labels(labels), tuple(k), tuple(leaf_node), left, right, parent)
+    return _FlatTree(
+        _distinct_labels(labels), tuple(k), tuple(leaf_node), left, right, parent, first, turns, term
+    )
 
 
 def elementary_systems(x: TypeExpr) -> tuple[Label, ...]:
@@ -399,50 +404,20 @@ def relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
 # Every arrow renders as (L->R), adding one arrow mark and one open bracket,
 # so the marks to the right of a label pair up except for the "->" of each
 # arrow whose left side holds the label.  K is therefore the parity of the
-# left turns on the label's root path, and K inside a subterm is the parity
-# of the left turns below that subterm's arrow.
-
-
-def _left_parity(path: _RootPath) -> int:
-    return sum(left for _, left in path) % 2
-
-
-def _root_paths(x: TypeExpr) -> dict[str, _LeafPath]:
-    """Leaf and root path by label name; a repeated name keeps its first
-    (leftmost) occurrence."""
-    by_name: dict[str, _LeafPath] = {}
-    for node, path in _leaf_paths(x):
-        by_name.setdefault(node.label.name, (node, path))
-    return by_name
-
-
-def _lookup(paths: Mapping[str, _LeafPath], label: Label | str) -> _LeafPath:
-    name = label.name if isinstance(label, Label) else label
-    if name not in paths:
-        raise ValueError(f"label {name!r} does not occur in the type")
-    return paths[name]
-
-
-def _enclosing(a: _LeafPath, b: _LeafPath) -> tuple[TypeExpr, int]:
-    """The smallest subterm holding both leaves, found where their root
-    paths first turn different ways, and K of the first leaf inside it."""
-    leaf, path_a = a
-    path_b = b[1]
-    depth, shared = 0, min(len(path_a), len(path_b))
-    while depth < shared and path_a[depth][1] == path_b[depth][1]:
-        depth += 1
-    if depth == len(path_a):  # the same leaf
-        return leaf, 0
-    return path_a[depth][0], _left_parity(path_a[depth:])
+# left turns on the label's root path.  The flat tree keeps that parity at
+# every node (``turns``), so K inside a subterm is the label's K xor the
+# parity at the subterm's node: only the left turns below it remain.
 
 
 def k_value(x: TypeExpr, label: Label | str) -> int:
     """Parity of arrows and open brackets strictly to the right of the label
     in the canonical fully parenthesized rendering of x.
 
-    Value 1 marks an input system, 0 an output system.
+    Value 1 marks an input system, 0 an output system.  Requires x to be
+    relabeled: a duplicate label raises ``DuplicateLabelError``.
     """
-    return _left_parity(_lookup(_root_paths(x), label)[1])
+    tree = _flat_tree(x)
+    return tree.k[tree.position(label)]
 
 
 @dataclass(frozen=True)
@@ -518,8 +493,9 @@ def minimal_enclosing(x: TypeExpr, a: Label | str, b: Label | str) -> TypeExpr:
     """The unique smallest subterm of x containing both labels.
 
     For distinct labels in core form this is always an arrow with the two
-    labels split across its sides.
+    labels split across its sides.  Requires x to be relabeled: a
+    duplicate label raises ``DuplicateLabelError``.
     """
-    paths = _root_paths(x)
-    enclosing, _ = _enclosing(_lookup(paths, a), _lookup(paths, b))
-    return enclosing
+    tree = _flat_tree(x)
+    node, _ = tree.enclosing(tree.position(a), tree.position(b))
+    return tree.term[node]

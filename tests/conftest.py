@@ -1,6 +1,6 @@
-"""Shared test helpers: seeded random type generation and two test
-oracles, a dense product-basis builder and the enumerated critical-set
-intersection."""
+"""Shared test helpers: seeded random type generation and three test
+oracles, a dense product-basis builder, the per-word basis dimension and
+the enumerated critical-set intersection."""
 
 from __future__ import annotations
 
@@ -123,6 +123,19 @@ def dense_basis(words: WordSet) -> list[np.ndarray]:
                 m = np.kron(m, factor)
             elements.append(m)
     return elements
+
+
+def enumerated_basis_dimension(words: WordSet) -> int:
+    """The number of product-basis elements a word set spans, summed word
+    by word: d^2 - 1 traceless factors per 0 bit, one identity per 1 bit."""
+    total = 0
+    for word in words:
+        size = 1
+        for a in words.universe:
+            if not word.bit(a):
+                size *= a.dimension**2 - 1
+        total += size
+    return total
 
 
 def enumerated_critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord | None:

@@ -34,6 +34,7 @@ from hotypes import (
 from hotypes.oracle import (
     _to_coefficients,
     _to_matrix,
+    basis_dimension,
     basis_for_words,
     identity_operator,
     membership_defects,
@@ -42,7 +43,7 @@ from hotypes.oracle import (
     partial_transpose,
 )
 
-from conftest import dense_basis, random_type_with_io
+from conftest import dense_basis, enumerated_basis_dimension, random_type, random_type_with_io
 
 ALGEBRA_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -93,6 +94,14 @@ class TestDeltaBasis:
                     size *= 1 if (word.bits >> i) & 1 else a.dimension**2 - 1
                 expected += size
             assert len(delta_basis(x)) == expected
+
+    def test_counted_dimension_matches_the_word_sum(self):
+        rng = random.Random(127)
+        for _ in range(300):
+            x = random_type(rng, max_systems=7, dims=(2, 3))
+            assert basis_dimension(x) == enumerated_basis_dimension(build_D(x))
+        assert basis_dimension(parse_type("A->B")) == 12
+        assert basis_dimension(parse_type("*".join(f"(A{i}->B{i})" for i in range(3)))) == 13**3 - 1
 
     def test_orthogonal_to_identity(self):
         # the all-identity coefficient is the trace; no word set allows it

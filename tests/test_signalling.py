@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given
 
+import hotypes
 from hotypes import (
     Arrow,
     ContractionSpec,
@@ -237,3 +238,21 @@ class TestComplexity:
         assert len(rows) == 400
         full = {(r.source.name, r.target.name) for r in rows if r.relation is Relation.FULL_SIGNALLING}
         assert full == {(f"A{i}", f"B{i}") for i in range(20)}
+
+    def test_matrix_past_the_word_set_cap(self, monkeypatch):
+        # 200 labels, over three times the 63-label word-set cap, with the
+        # io_partition fold and the word-set builder made to fail
+        def refuse(*args, **kwargs):
+            raise AssertionError("io_partition or build_D was called")
+
+        for module in (hotypes, hotypes.type_core, hotypes.strings, hotypes.signalling):
+            for name in ("io_partition", "build_D"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        x = parse_type("*".join(f"(A{i}->B{i})" for i in range(100)))
+        start = time.perf_counter()
+        rows = signalling_matrix(x)
+        assert time.perf_counter() - start < 1.0
+        assert len(rows) == 100 * 100
+        full = {(r.source.name, r.target.name) for r in rows if r.relation is Relation.FULL_SIGNALLING}
+        assert full == {(f"A{i}", f"B{i}") for i in range(100)}

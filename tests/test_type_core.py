@@ -190,6 +190,10 @@ class TestKValue:
         with pytest.raises(ValueError):
             k_value(parse_type("A->B"), "C")
 
+    def test_duplicate_label_rejected(self):
+        with pytest.raises(DuplicateLabelError):
+            k_value(parse_type("A->A"), "A")
+
     def test_matches_literal_count_in_the_rendering(self):
         # independent oracle: count arrows and open brackets to the right of
         # the label in the canonical text (single-letter names, so a plain
@@ -320,6 +324,10 @@ class TestMinimalEnclosing:
     def test_missing_label(self):
         with pytest.raises(ValueError):
             minimal_enclosing(parse_type("A->B"), "A", "Z")
+
+    def test_duplicate_label_rejected(self):
+        with pytest.raises(DuplicateLabelError):
+            minimal_enclosing(parse_type("A->A"), "A", "A")
 
 
 class TestDeepInput:
