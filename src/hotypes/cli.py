@@ -86,6 +86,8 @@ def cmd_analyze(args, dims: dict[str, int]) -> int:
             f"type has {len(analysis.elementary)} labels; word sets are capped at {MAX_UNIVERSE}"
         )
     count = word_count(x)
+    # an empty D_x is listed without building it: its subterms' sets can be huge
+    words = [] if count == 0 else build_D(x).render() if count <= 64 else None
     report = {
         "command": "analyze",
         "input_types": [args.type],
@@ -95,7 +97,7 @@ def cmd_analyze(args, dims: dict[str, int]) -> int:
         "outputs": _label_names(analysis.outputs_ordered()),
         "lambda": str(analysis.lam),
         "word_count": count,
-        "words": build_D(x).render() if count <= 64 else None,
+        "words": words,
         "renamed": renamed,
         "timing_ms": (time.perf_counter() - start) * 1000,
     }

@@ -17,8 +17,8 @@ import numpy as np
 
 from .admissibility import ContractionSpec, check_contraction
 from .signalling import Relation, signals
-from .strings import BitWord, WordSet, _count_arrow, build_D, canonical_universe
-from .type_core import Label, TypeExpr, _fold, io_partition
+from .strings import BitWord, WordSet, _class_count, build_D, canonical_universe
+from .type_core import Label, TypeExpr, io_partition
 
 BASIS_BYTES = 1 << 30
 
@@ -270,7 +270,7 @@ def basis_dimension(x: TypeExpr) -> int:
     counted without enumerating D_x: the three-class count of
     ``strings.word_count`` with each 0 bit weighted by d^2 - 1, so a label
     counts (d^2 - 1, 1, d^2) for (in D, all-ones, all words)."""
-    return _fold(x, lambda a: (a.dimension**2 - 1, 1, a.dimension**2), (0, 1, 1), _count_arrow)[0]
+    return _class_count(x, lambda a: (a.dimension**2 - 1, 1, a.dimension**2))
 
 
 def basis_for_words(words: WordSet) -> SubspaceBasis:
@@ -513,6 +513,7 @@ def verify(
     analysis = io_partition(x)
     inputs, outputs = analysis.inputs_ordered(), analysis.outputs_ordered()
     lambda_ok = analysis.lam == Fraction(1, _side(outputs))
+    _check_bytes(analysis.elementary)  # before D_x is enumerated
     basis_size = len(basis_for_words(build_D(x)))
     basis_ok = basis_size == basis_dimension(x)
     if trials <= 0:

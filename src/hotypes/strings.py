@@ -5,7 +5,9 @@ order (bit i holds the value at the i-th label), so concatenation is a
 shift.  Sorted-name order is used only to show words: rendering, iteration
 and the smallest member.  Word sets are plain frozensets of masks, so
 every operation here is exact and exhaustive; universes are capped at 63
-labels to keep single-machine-word encoding.
+labels to keep single-machine-word encoding.  ``build_D`` joins the word
+sets of a tensor's factors directly, by the paper's tensor rule, rather
+than through the arrows the tensor desugars to.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .type_core import (
     Trivial,
     TypeExpr,
     _FlatTree,
+    _distinct_labels,
+    _flat_tree,
     _fold,
-    elementary_systems,
+    as_tensor,
     io_partition,
 )
 
@@ -297,16 +301,26 @@ def build_D(x: TypeExpr) -> WordSet:
     """The word set spanning the traceless part of deterministic maps of x.
 
     Base cases: a single label contributes {0}; the trivial type the empty
-    set.  For an arrow, D_{x->y} = W_x D_y ∪ bar(D_x) perp(D_y).  Memoized
-    per subterm, so shared subterms (desugared tensors) are built once.
+    set.  A tensor x*y (stored ~(x -> ~y)) is built from its factors,
+    D_{x*y} = e_x D_y ∪ D_x e_y ∪ D_x D_y, so no set larger than the result
+    is made.  Any other arrow gives D_{x->y} = W_x D_y ∪ bar(D_x) perp(D_y).
+    The labels of the two sides must differ (``DuplicateLabelError``).
+    Memoized per subterm.
     """
     if isinstance(x, Trivial):
         return WordSet((), frozenset())
     if isinstance(x, Elementary):
         return WordSet((x.label,), frozenset({0}))
     assert isinstance(x, Arrow)
-    elementary_systems(x)  # reject duplicate labels before building
-    left, right = build_D(x.left), build_D(x.right)
+    factors = as_tensor(x)
+    left, right = (build_D(side) for side in factors or (x.left, x.right))
+    _distinct_labels([*left.universe, *right.universe])
+    if factors is not None:
+        shift = len(left.universe)
+        e_x, e_y = all_ones(left.universe).bits, all_ones(right.universe).bits
+        masks = {u | v << shift for u in left.masks | {e_x} for v in right.masks | {e_y}}
+        masks.discard(e_x | e_y << shift)
+        return WordSet(_universe(left.universe + right.universe), frozenset(masks))
     w_left = full_set(left.universe)
     # bar(D_x) = W_x minus e_x minus D_x, taken from the W_x already built
     bar_left = WordSet(left.universe, w_left.masks - left.masks - {all_ones(left.universe).bits})
@@ -320,16 +334,23 @@ def _count_arrow(left, right):
     return w_x * d_y + r_x * (w_y - d_y), e_x * e_y, w_x * w_y
 
 
+def _class_count(x: TypeExpr, leaf) -> int:
+    """The D count of the three-class fold, ``leaf(label)`` giving a
+    label's (D, E, W) counts; a repeated label raises."""
+    _flat_tree(x)
+    return _fold(x, leaf, (0, 1, 1), _count_arrow)[0]
+
+
 def word_count(x: TypeExpr) -> int:
     """|D_x| without enumerating it.
 
     Each word over a subterm is in D, is the all-ones word (class E), or is
-    neither (class R); counting the three classes follows the build_D
-    recursion word by word: (u, v) is in D_{x->y} when v is in D_y, or when
+    neither (class R); counting the three classes follows the arrow rule of
+    build_D word by word: (u, v) is in D_{x->y} when v is in D_y, or when
     u is in R and v is not in D_y.  A label has counts (|D|, |E|, |W|) =
     (1, 1, 2) and I has (0, 1, 1).
     """
-    return _fold(x, lambda _: (1, 1, 2), (0, 1, 1), _count_arrow)[0]
+    return _class_count(x, lambda _: (1, 1, 2))
 
 
 # --- the critical-set pass -----------------------------------------------------
@@ -437,14 +458,6 @@ def _critical_word(tree: _FlatTree, pairs: Sequence[tuple[Label, Label]]) -> Bit
     if best is None:
         return None
     return BitWord(canonical, sum(bit << r for r, bit in enumerate(best)))
-
-
-def tensor_D_closed_form(x: TypeExpr, y: TypeExpr) -> WordSet:
-    """D of the tensor without desugaring: e_x D_y ∪ D_x e_y ∪ D_x D_y."""
-    dx, dy = build_D(x), build_D(y)
-    ex = WordSet(dx.universe, frozenset({all_ones(dx.universe).bits}))
-    ey = WordSet(dy.universe, frozenset({all_ones(dy.universe).bits}))
-    return concat(ex, dy).union(concat(dx, ey)).union(concat(dx, dy))
 
 
 # --- critical sets -----------------------------------------------------------

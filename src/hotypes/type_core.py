@@ -288,12 +288,12 @@ class _FlatTree(NamedTuple):
     labels: tuple[Label, ...]
     k: tuple[int, ...]
     leaf_node: tuple[int, ...]
-    left: list[int]
-    right: list[int]
-    parent: list[int]
-    first: list[int]
-    turns: list[int]
-    term: list[TypeExpr]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    parent: tuple[int, ...]
+    first: tuple[int, ...]
+    turns: tuple[int, ...]
+    term: tuple[TypeExpr, ...]
 
     def inputs(self) -> tuple[Label, ...]:
         return tuple(a for a, k in zip(self.labels, self.k) if k == 1)
@@ -321,6 +321,17 @@ class _FlatTree(NamedTuple):
 
 
 def _flat_tree(x: TypeExpr) -> _FlatTree:
+    """The flat tree of x, built on the first call and kept in the object's
+    ``__dict__``, so every structural question about one type object
+    shares one walk.  It is held per object, never per equal value, so
+    the root's ``term`` is x itself."""
+    tree = x.__dict__.get("_flat_tree")
+    if tree is None:
+        tree = x.__dict__["_flat_tree"] = _walk_tree(x)
+    return tree
+
+
+def _walk_tree(x: TypeExpr) -> _FlatTree:
     """One iterative post-order walk of x: its labels in textual order
     (a repeated name raises), their K parities (left turns on the root
     path, see below) and the node arrays."""
@@ -358,9 +369,8 @@ def _flat_tree(x: TypeExpr) -> _FlatTree:
         turns.append(parity)
         term.append(node)
         finished.append(j)
-    return _FlatTree(
-        _distinct_labels(labels), tuple(k), tuple(leaf_node), left, right, parent, first, turns, term
-    )
+    arrays = (left, right, parent, first, turns, term)
+    return _FlatTree(_distinct_labels(labels), tuple(k), tuple(leaf_node), *map(tuple, arrays))
 
 
 def elementary_systems(x: TypeExpr) -> tuple[Label, ...]:

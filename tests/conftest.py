@@ -1,6 +1,7 @@
-"""Shared test helpers: seeded random type generation and three test
-oracles, a dense product-basis builder, the per-word basis dimension and
-the enumerated critical-set intersection."""
+"""Shared test helpers: seeded random type generation and four test
+oracles, the arrow-only word-set recursion, a dense product-basis builder,
+the per-word basis dimension and the enumerated critical-set
+intersection."""
 
 from __future__ import annotations
 
@@ -14,15 +15,20 @@ from hypothesis import strategies as st
 
 from hotypes import (
     Arrow,
-    Elementary,
     Label,
     TRIVIAL,
     TypeExpr,
     BitWord,
+    Elementary,
+    Trivial,
     WordSet,
     bar,
     build_D,
+    complement_bar,
+    complement_perp,
+    concat,
     critical_set_multi,
+    full_set,
     herm_basis,
     io_partition,
     tensor,
@@ -104,6 +110,19 @@ def type_exprs(draw, max_systems: int = 5, dims: Sequence[int] = (2,)) -> TypeEx
 def type_exprs_with_io(draw, max_systems: int = 5, dims: Sequence[int] = (2,)) -> TypeExpr:
     seed = draw(st.integers(0, 2**32 - 1))
     return random_type_with_io(random.Random(seed), max_systems=max_systems, dims=dims)
+
+
+def reference_D(x: TypeExpr) -> WordSet:
+    """D_x by the arrow rule alone, D_{x->y} = W_x D_y ∪ bar(D_x) perp(D_y),
+    on the desugared form of every tensor and without a cache."""
+    if isinstance(x, Trivial):
+        return WordSet((), frozenset())
+    if isinstance(x, Elementary):
+        return WordSet((x.label,), frozenset({0}))
+    left, right = reference_D(x.left), reference_D(x.right)
+    return concat(full_set(left.universe), right).union(
+        concat(complement_bar(left), complement_perp(right))
+    )
 
 
 def dense_basis(words: WordSet) -> list[np.ndarray]:

@@ -66,6 +66,22 @@ class TestAnalyze:
         assert report["word_count"] == 3**12 - 1
         assert report["words"] is None
 
+    def test_empty_word_set_without_enumeration(self, capsys, monkeypatch):
+        def refuse(x):
+            raise AssertionError("build_D called for an empty word set")
+
+        monkeypatch.setattr("hotypes.cli.build_D", refuse)
+        effect = "~(" + "*".join(f"A{i}" for i in range(20)) + ")"
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "analyze", effect)
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert "|D|:     0" in out.splitlines()
+        assert "D:       " in out.splitlines()
+        code, report = run_json(capsys, "analyze", effect)
+        assert code == 0
+        assert (report["word_count"], report["words"]) == (0, [])
+
     def test_too_many_labels_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "*".join(f"A{i}" for i in range(64)))
         assert code == 2
@@ -248,6 +264,16 @@ class TestOracleVerify:
         assert out == ""
         assert "bytes" in err and "budget" in err
 
+    def test_byte_budget_is_checked_before_words_are_built(self, capsys, monkeypatch):
+        def refuse(x):
+            raise AssertionError("build_D called for a basis over the byte budget")
+
+        monkeypatch.setattr(hotypes.oracle, "build_D", refuse)
+        channels = "*".join(f"(A{i}->B{i})" for i in range(12))
+        code, out, err = run_cli(capsys, "oracle", "verify", channels, "--trials", "0")
+        assert code == 2
+        assert out == ""
+        assert "dense operators need" in err and "bytes" in err
 
     def test_eight_qubits_pass_the_three_way_check(self, capsys):
         code, out, err = run_cli(

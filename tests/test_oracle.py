@@ -11,6 +11,7 @@ import pytest
 import hotypes.oracle
 from hotypes import (
     ContractionSpec,
+    DuplicateLabelError,
     Label,
     OperatorMatrix,
     build_D,
@@ -102,6 +103,10 @@ class TestDeltaBasis:
             assert basis_dimension(x) == enumerated_basis_dimension(build_D(x))
         assert basis_dimension(parse_type("A->B")) == 12
         assert basis_dimension(parse_type("*".join(f"(A{i}->B{i})" for i in range(3)))) == 13**3 - 1
+
+    def test_counted_dimension_rejects_duplicate_labels(self):
+        with pytest.raises(DuplicateLabelError):
+            basis_dimension(parse_type("A->A"))
 
     def test_orthogonal_to_identity(self):
         # the all-identity coefficient is the trace; no word set allows it

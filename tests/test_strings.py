@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from hotypes import (
     ANNIHILATED,
+    TRIVIAL,
+    Arrow,
+    DuplicateLabelError,
+    Elementary,
     Label,
+    Trivial,
     WordSet,
     all_ones,
     bar,
@@ -32,11 +37,10 @@ from hotypes.strings import (
     canonical_universe,
     compose_sets,
     contract_word,
-    tensor_D_closed_form,
     word_count,
 )
 
-from conftest import random_type, random_type_with_io, type_exprs
+from conftest import random_type, random_type_with_io, reference_D, type_exprs
 
 A, B, C, D = (Label(n) for n in "ABCD")
 
@@ -244,6 +248,19 @@ class TestBuildD:
             x = random_type(rng, max_systems=8, dims=(2, 3))
             assert word_count(x) == len(build_D(x))
 
+    def test_duplicate_label_rejected(self):
+        for text in ("A->A", "(A->B)*(C->A)", "B*A*B"):
+            with pytest.raises(DuplicateLabelError):
+                build_D(parse_type(text))
+            with pytest.raises(DuplicateLabelError):
+                word_count(parse_type(text))
+
+    def test_subterms_keep_no_tree(self):
+        x = parse_type("((A->B)*(C->D))->(E*~F)")
+        build_D(x)
+        # I is one shared object, which other callers may have walked
+        assert not any("_flat_tree" in node.__dict__ for node in x.walk() if node is not TRIVIAL)
+
     def test_all_ones_never_appears(self):
         rng = random.Random(31)
         for _ in range(200):
@@ -270,30 +287,55 @@ class TestBuildD:
 class TestTensorClosedForm:
     def test_two_states(self):
         x, y = parse_type("A"), parse_type("B")
-        assert words(tensor_D_closed_form(x, y)) == {"1_A0_B", "0_A1_B", "0_A0_B"}
+        assert words(build_D(tensor(x, y))) == {"1_A0_B", "0_A1_B", "0_A0_B"}
 
     def test_trivial_right_factor(self):
         x = parse_type("(A->B)->C")
-        assert tensor_D_closed_form(x, parse_type("I")).masks == build_D(x).masks
+        assert build_D(tensor(x, parse_type("I"))).masks == build_D(x).masks
 
     def test_matches_recursive_builder(self):
-        rng = random.Random(37)
-        for _ in range(300):
-            x = random_type(rng, max_systems=3)
-            y = random_type(rng, max_systems=3)
-            y = _shift_labels(y, offset=10)
-            assert tensor_D_closed_form(x, y).masks == build_D(tensor(x, y)).masks
+        # the arrow-only recursion of conftest is the independent oracle
+        rng = random.Random(41)
+        for n in range(1200):
+            x = _tensor_type(rng) if n % 3 else random_type(rng, max_systems=7, dims=(2, 3))
+            if n % 4 == 0:
+                names = [a.name for a in io_partition(x).elementary]
+                x = _renamed(x, dict(zip(names, rng.sample(names, len(names)))))
+            assert build_D(x) == reference_D(x)
 
 
-def _shift_labels(x, offset: int):
-    """Rename labels N -> N_k so two independently generated types are disjoint."""
-    from hotypes import Arrow, Elementary, TRIVIAL, Trivial
+def _tensor_type(rng: random.Random, max_systems: int = 7):
+    """A random type built mostly from tensors: nested products of either
+    association, I factors, duals of products, qubit and qutrit labels."""
+    counter = iter(range(max_systems))
 
+    def leaf():
+        return Elementary(Label(f"L{next(counter)}", rng.choice((2, 2, 3))))
+
+    def build(n: int):
+        roll = rng.random()
+        if n == 1:
+            return leaf() if roll < 0.6 else bar(leaf()) if roll < 0.8 else tensor(TRIVIAL, leaf())
+        split = rng.randint(1, n - 1)
+        left, right = build(split), build(n - split)
+        if roll < 0.5:
+            return tensor(left, right)
+        if roll < 0.65:
+            return bar(tensor(left, right))
+        if roll < 0.8:
+            return tensor(tensor(left, TRIVIAL), right)
+        return Arrow(left, right)
+
+    return build(rng.randint(1, max_systems))
+
+
+def _renamed(x, mapping: dict[str, str]):
+    """x with every label renamed through the mapping."""
     if isinstance(x, Elementary):
-        return Elementary(Label(f"{x.label.name}_{offset}", x.label.dimension))
+        return Elementary(Label(mapping[x.label.name], x.label.dimension))
     if isinstance(x, Trivial):
         return TRIVIAL
-    return Arrow(_shift_labels(x.left, offset), _shift_labels(x.right, offset))
+    return Arrow(_renamed(x.left, mapping), _renamed(x.right, mapping))
 
 
 class TestPromotion:

@@ -10,6 +10,7 @@ from hypothesis import given
 
 from hotypes import (
     Arrow,
+    ContractionSpec,
     DuplicateLabelError,
     Elementary,
     Label,
@@ -17,6 +18,7 @@ from hotypes import (
     TRIVIAL,
     TypeSyntaxError,
     bar,
+    check_contraction,
     elementary_systems,
     io_partition,
     is_subtype,
@@ -28,6 +30,8 @@ from hotypes import (
     signals,
     tensor,
 )
+
+from hotypes import type_core
 
 from conftest import random_type, type_exprs
 
@@ -328,6 +332,38 @@ class TestMinimalEnclosing:
     def test_duplicate_label_rejected(self):
         with pytest.raises(DuplicateLabelError):
             minimal_enclosing(parse_type("A->A"), "A", "A")
+
+
+class TestTreeMemo:
+    def test_contraction_sweep_walks_the_type_once(self, monkeypatch):
+        walks = []
+        walk = type_core._walk_tree
+        monkeypatch.setattr(type_core, "_walk_tree", lambda x: walks.append(x) or walk(x))
+        x = parse_type("(A->B)*(C->D)*((E->F)->G)")
+        analysis = io_partition(x)
+        for a in analysis.inputs_ordered():
+            for b in analysis.outputs_ordered():
+                check_contraction(x, ContractionSpec.of([(a, b)]))
+        assert walks == [x]
+
+    def test_enclosing_root_is_the_object_itself(self):
+        x = parse_type("(A->B)->(C->D)")
+        io_partition(x), signals(x, "B", "D"), elementary_systems(x)
+        assert minimal_enclosing(x, "A", "C") is x
+
+    def test_equal_objects_keep_their_own_trees(self):
+        x, y = parse_type("(A->B)->C"), parse_type("(A->B)->C")
+        assert x == y and x is not y
+        assert minimal_enclosing(x, "A", "C") is x
+        assert minimal_enclosing(y, "A", "C") is y
+
+    def test_equality_and_hash_ignore_the_tree(self):
+        x, fresh = parse_type("(A->B)->C"), parse_type("(A->B)->C")
+        before = hash(x)
+        io_partition(x)
+        assert "_flat_tree" in x.__dict__ and "_flat_tree" not in fresh.__dict__
+        assert x == fresh and hash(x) == hash(fresh) == before
+        assert x != parse_type("(A->C)->B")
 
 
 class TestDeepInput:
