@@ -12,13 +12,13 @@ from hotypes import (
     ContractionSpec,
     build_D,
     check_contraction,
-    critical_set_multi,
     io_partition,
     parse_type,
     render_type,
     signalling_matrix,
     verify,
 )
+from hotypes.strings import critical_set_multi
 
 
 def main() -> None:

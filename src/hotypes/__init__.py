@@ -19,7 +19,6 @@ from .type_core import (
     bar,
     elementary_systems,
     io_partition,
-    is_subtype,
     k_value,
     minimal_enclosing,
     parse_type,
@@ -27,21 +26,7 @@ from .type_core import (
     render_type,
     tensor,
 )
-from .strings import (
-    ANNIHILATED,
-    BitWord,
-    WordSet,
-    all_ones,
-    build_D,
-    complement_bar,
-    complement_perp,
-    concat,
-    contract_set,
-    critical_set,
-    critical_set_multi,
-    full_set,
-    traceless_set,
-)
+from .strings import BitWord, WordSet, build_D
 from .admissibility import (
     ContractionSpec,
     Reason,
@@ -76,5 +61,23 @@ from .oracle import (
     violation_witness,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # types and their structure
+    "Arrow", "DuplicateLabelError", "Elementary", "IoAnalysis", "Label", "TRIVIAL",
+    "Trivial", "TypeExpr", "TypeSyntaxError", "bar", "elementary_systems",
+    "io_partition", "k_value", "minimal_enclosing", "parse_type", "relabel_unique",
+    "render_type", "tensor",
+    # word sets
+    "BitWord", "WordSet", "build_D",
+    # decisions
+    "ContractionSpec", "Reason", "Verdict", "check_composition", "check_contraction",
+    "check_equivalence", "check_inclusion",
+    # signalling
+    "Relation", "SignallingVerdict", "crosscheck", "signalling_matrix", "signals",
+    # numerics
+    "OperatorMatrix", "SubspaceBasis", "channel_violation_margin", "delta_basis",
+    "dump_operator", "herm_basis", "is_channel", "is_nosignalling", "link_product",
+    "membership", "numeric_contraction", "phi_operator", "sample_deterministic",
+    "verify", "violation_witness",
+]
 __version__ = "0.1.0"

@@ -1,6 +1,7 @@
 """Decision procedures over the string calculus.
 
-Type inclusion is a subset test on enumerated D sets.  Contraction and
+Type inclusion is a subset test on enumerated D sets, refused above the
+63-label cap before any set is built.  Contraction and
 composition admissibility is emptiness of D_x against a critical set,
 decided without building either: one pass over the type tree per pair-bit
 pattern sorts words into three classes (in D, all-ones, neither), so a
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Sequence
 
-from .strings import BitWord, _critical_word, build_D
+from .strings import BitWord, _critical_word, _universe, build_D
 from .type_core import (
     Arrow,
     Elementary,
@@ -120,6 +121,7 @@ def check_inclusion(x: TypeExpr, y: TypeExpr) -> Verdict:
         return Verdict(False, Reason.LABEL_MISMATCH)
     if ax.lam != ay.lam:
         return Verdict(False, Reason.LAMBDA_MISMATCH)
+    _universe(ax.elementary)  # the 63-label cap, before any word is built
     dx, dy = build_D(x), build_D(y)
     extra = dx.difference(dy)
     if extra.masks:
@@ -262,49 +264,3 @@ def check_composition(x: TypeExpr, y: TypeExpr) -> Verdict:
     if not verdict.admissible:
         return verdict
     return Verdict(True, Reason.OK, result_in=result_in, result_out=result_out)
-
-
-# --- derived checks ----------------------------------------------------------------
-
-def check_monotonicity(x: TypeExpr, h: ContractionSpec, k: ContractionSpec) -> bool:
-    """With H a subset of K: an inadmissible C_H must force C_K inadmissible.
-    Returns whether that implication holds on this instance."""
-    if not set(h.pairs) <= set(k.pairs):
-        raise ValueError("H must be a subset of K")
-    vh = check_contraction(x, h)
-    vk = check_contraction(x, k)
-    return vh.admissible or not vk.admissible
-
-
-def _tensor_fold(parts: Sequence[TypeExpr]) -> TypeExpr:
-    if not parts:
-        return TRIVIAL
-    out = parts[0]
-    for part in parts[1:]:
-        out = tensor(out, part)
-    return out
-
-
-def supermap_inclusion_form(x: TypeExpr, spec: ContractionSpec) -> Verdict:
-    """Decide the contraction by the equivalent type inclusion.
-
-    Builds (tensor of (B_i -> A_i)) -> (remaining inputs -> remaining
-    outputs) for the oriented pairs (A_i input, B_i output) and runs
-    check_inclusion against it.  Agrees with check_contraction.
-    """
-    analysis = io_partition(x)
-    rejection, oriented = _orient_pairs(analysis.inputs, _resolve_pairs(analysis.elementary, spec))
-    if rejection is not None:
-        raise ValueError(f"pairs must join inputs with outputs ({rejection.reason.value})")
-    if not oriented:
-        raise ValueError("at least one contraction pair is required")
-    contracted = {name for pair in oriented for name in (pair[0].name, pair[1].name)}
-    plugs = _tensor_fold([Arrow(Elementary(b), Elementary(a)) for a, b in oriented])
-    rest_in = _tensor_fold(
-        [Elementary(a) for a in analysis.inputs_ordered() if a.name not in contracted]
-    )
-    rest_out = _tensor_fold(
-        [Elementary(a) for a in analysis.outputs_ordered() if a.name not in contracted]
-    )
-    target = Arrow(plugs, Arrow(rest_in, rest_out))
-    return check_inclusion(x, target)

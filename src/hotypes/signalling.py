@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .strings import _critical_word
-from .type_core import Label, TypeExpr, _flat_tree, _FlatTree, bar, render_type
+from .type_core import Label, TypeExpr, _flat_tree, _FlatTree, render_type
 
 
 class Relation(str, Enum):
@@ -41,18 +41,15 @@ class SignallingVerdict:
         }
 
 
-def _resolve_pair(
-    tree: _FlatTree, a: Label | str, b: Label | str, input_k: int = 1
-) -> tuple[int, int]:
-    """Textual positions of input a and output b.  Inputs are the labels
-    with K = ``input_k``: 1 in the tree of the type, 0 in that of its dual."""
+def _resolve_pair(tree: _FlatTree, a: Label | str, b: Label | str) -> tuple[int, int]:
+    """Textual positions of input a (K = 1) and output b (K = 0)."""
     index = {lbl.name: i for i, lbl in enumerate(tree.labels)}
     name_a = a.name if isinstance(a, Label) else a
     name_b = b.name if isinstance(b, Label) else b
     i, j = index.get(name_a), index.get(name_b)
-    if i is None or tree.k[i] != input_k:
+    if i is None or tree.k[i] != 1:
         raise ValueError(f"{name_a!r} is not an input system of the type")
-    if j is None or tree.k[j] == input_k:
+    if j is None or tree.k[j] != 0:
         raise ValueError(f"{name_b!r} is not an output system of the type")
     return i, j
 
@@ -72,14 +69,6 @@ def _verdict(tree: _FlatTree, i: int, j: int) -> SignallingVerdict:
     node, k = tree.enclosing(i, j)
     relation = Relation.FULL_SIGNALLING if k == 1 else Relation.NO_SIGNALLING
     return SignallingVerdict(tree.labels[i], tree.labels[j], relation, tree.term[node])
-
-
-def full_signalling(x: TypeExpr, a: Label | str, b: Label | str) -> bool:
-    """Critical-set test for full signalling from input a to output b: the
-    reversed contraction on the dual type must be admissible."""
-    dual = _flat_tree(bar(x))
-    i, j = _resolve_pair(dual, a, b, input_k=0)
-    return _critical_word(dual, [(dual.labels[j], dual.labels[i])]) is None
 
 
 def signalling_matrix(x: TypeExpr) -> list[SignallingVerdict]:

@@ -7,7 +7,10 @@ and the smallest member.  Word sets are plain frozensets of masks, so
 every operation here is exact and exhaustive; universes are capped at 63
 labels to keep single-machine-word encoding.  ``build_D`` joins the word
 sets of a tensor's factors directly, by the paper's tensor rule, rather
-than through the arrows the tensor desugars to.
+than through the arrows the tensor desugars to.  ``word_count`` counts
+D_x and ``_critical_word`` decides contraction by one pass over three
+classes of words, without building a set; ``critical_set_multi`` builds
+the obstruction set only to show it.
 """
 
 from __future__ import annotations
@@ -36,16 +39,6 @@ MAX_UNIVERSE = 63
 
 class UniverseTooLargeError(ValueError):
     pass
-
-
-class _Annihilated:
-    """Outcome of contracting a word whose two bits disagree."""
-
-    def __repr__(self) -> str:
-        return "ANNIHILATED"
-
-
-ANNIHILATED = _Annihilated()
 
 
 def _universe(labels: Iterable[Label]) -> tuple[Label, ...]:
@@ -96,16 +89,10 @@ class BitWord:
 
 @dataclass(frozen=True)
 class WordSet:
-    """A finite set of words over one universe.
-
-    ``annihilated`` records whether a contraction mapped some member to the
-    null string by hitting mismatched bits; such words contribute nothing
-    to the surviving set.
-    """
+    """A finite set of words over one universe."""
 
     universe: tuple[Label, ...]
     masks: frozenset[int] = field(default_factory=frozenset)
-    annihilated: bool = False
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -145,19 +132,9 @@ class WordSet:
         same_labels = set(word.universe) == set(self.universe)
         return same_labels and self._aligned(word.universe, [word.bits]) <= self.masks
 
-    def word(self, bits_by_name: dict[str, int]) -> BitWord:
-        """Build a member-shaped word from {label name: bit}."""
-        if set(bits_by_name) != {a.name for a in self.universe}:
-            raise ValueError("bit assignment does not cover the universe exactly")
-        mask = 0
-        for i, a in enumerate(self.universe):
-            if bits_by_name[a.name]:
-                mask |= 1 << i
-        return BitWord(self.universe, mask)
-
     def union(self, other: "WordSet") -> "WordSet":
         masks = self.masks | self._aligned(other.universe, other.masks)
-        return WordSet(self.universe, masks, self.annihilated or other.annihilated)
+        return WordSet(self.universe, masks)
 
     def intersection(self, other: "WordSet") -> "WordSet":
         return WordSet(self.universe, self.masks & self._aligned(other.universe, other.masks))
@@ -196,23 +173,12 @@ def all_ones(universe: Iterable[Label]) -> BitWord:
     return BitWord(ordered, (1 << len(ordered)) - 1)
 
 
-def traceless_set(universe: Iterable[Label]) -> WordSet:
-    """T = W minus the all-ones word; empty over the empty universe."""
-    w = full_set(universe)
-    return WordSet(w.universe, w.masks - {all_ones(w.universe).bits})
-
-
 def complement_perp(j: WordSet) -> WordSet:
     """W \\ J."""
     return WordSet(j.universe, full_set(j.universe).masks - j.masks)
 
 
-def complement_bar(j: WordSet) -> WordSet:
-    """T \\ J."""
-    return WordSet(j.universe, traceless_set(j.universe).masks - j.masks)
-
-
-# --- concatenation and contraction -------------------------------------------
+# --- concatenation -----------------------------------------------------------
 
 def concat(j1: WordSet, j2: WordSet) -> WordSet:
     """All pairwise joins of words over the disjoint union of universes,
@@ -223,75 +189,7 @@ def concat(j1: WordSet, j2: WordSet) -> WordSet:
     universe = _universe(j1.universe + j2.universe)
     shift = len(j1.universe)
     masks = frozenset(m1 | m2 << shift for m1 in j1.masks for m2 in j2.masks)
-    return WordSet(universe, masks, j1.annihilated or j2.annihilated)
-
-
-def _positions(universe: tuple[Label, ...], labels: Sequence[Label | str]) -> list[int]:
-    index = {a.name: i for i, a in enumerate(universe)}
-    out = []
-    for label in labels:
-        name = label.name if isinstance(label, Label) else label
-        if name not in index:
-            raise ValueError(f"label {name!r} not in universe")
-        out.append(index[name])
-    return out
-
-
-def contract_word(word: BitWord, a: Label | str, b: Label | str) -> BitWord | _Annihilated:
-    """Drop the two positions when their bits agree; ANNIHILATED otherwise."""
-    pa, pb = _positions(word.universe, [a, b])
-    if pa == pb:
-        raise ValueError("cannot contract a label with itself")
-    if ((word.bits >> pa) & 1) != ((word.bits >> pb) & 1):
-        return ANNIHILATED
-    keep = tuple(lbl for i, lbl in enumerate(word.universe) if i not in (pa, pb))
-    mask = 0
-    shift = 0
-    for i in range(len(word.universe)):
-        if i in (pa, pb):
-            continue
-        mask |= ((word.bits >> i) & 1) << shift
-        shift += 1
-    return BitWord(keep, mask)
-
-
-def contract_set(s: WordSet, pairs: Sequence[tuple[Label | str, Label | str]]) -> WordSet:
-    """Contract every pair on every word; annihilated words are dropped from
-    the result and recorded on the flag.  Pair order is immaterial.
-    """
-    flat: list[str] = []
-    for a, b in pairs:
-        flat.append(a.name if isinstance(a, Label) else a)
-        flat.append(b.name if isinstance(b, Label) else b)
-    if len(set(flat)) != len(flat):
-        raise ValueError(f"contraction pairs overlap: {flat}")
-    positions = _positions(s.universe, flat)
-    pair_positions = [(positions[2 * i], positions[2 * i + 1]) for i in range(len(pairs))]
-    dropped = {p for pq in pair_positions for p in pq}
-    keep = tuple(lbl for i, lbl in enumerate(s.universe) if i not in dropped)
-
-    survivors = set()
-    hit = False
-    for mask in s.masks:
-        if any(((mask >> pa) & 1) != ((mask >> pb) & 1) for pa, pb in pair_positions):
-            hit = True
-            continue
-        out = 0
-        shift = 0
-        for i in range(len(s.universe)):
-            if i in dropped:
-                continue
-            out |= ((mask >> i) & 1) << shift
-            shift += 1
-        survivors.add(out)
-    return WordSet(keep, frozenset(survivors), s.annihilated or hit)
-
-
-def compose_sets(
-    j1: WordSet, j2: WordSet, pairs: Sequence[tuple[Label | str, Label | str]]
-) -> WordSet:
-    """Concatenate, then contract the pairing: J1 *_H J2."""
-    return contract_set(concat(j1, j2), pairs)
+    return WordSet(universe, masks)
 
 
 # --- the recursive word-set builder ------------------------------------------
@@ -468,13 +366,6 @@ def _resolve(x_labels: Iterable[Label], label: Label | str) -> Label:
         if a.name == name:
             return a
     raise ValueError(f"label {name!r} does not occur in the type")
-
-
-def critical_set(x: TypeExpr, a: Label | str, b: Label | str) -> WordSet:
-    """Obstruction set for contracting input a with output b: bit 0 at both,
-    1 on every other output, free on the other inputs.  The contraction is
-    admissible exactly when D_x misses this set."""
-    return critical_set_multi(x, [(a, b)])
 
 
 def critical_set_multi(

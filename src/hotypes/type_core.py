@@ -494,11 +494,6 @@ def io_partition(x: TypeExpr) -> IoAnalysis:
 
 # --- the subterm partial order ----------------------------------------------
 
-def is_subtype(y: TypeExpr, x: TypeExpr) -> bool:
-    """True iff y appears as a subterm of x (reflexive)."""
-    return any(node == y for node in x.walk())
-
-
 def minimal_enclosing(x: TypeExpr, a: Label | str, b: Label | str) -> TypeExpr:
     """The unique smallest subterm of x containing both labels.
 

@@ -1,13 +1,17 @@
-"""Shared test helpers: seeded random type generation and four test
-oracles, the arrow-only word-set recursion, a dense product-basis builder,
-the per-word basis dimension and the enumerated critical-set
-intersection."""
+"""Shared test helpers: seeded random type generation and the reference
+oracles the exact core is checked against.  The oracles are the
+paper-literal derivations: the arrow-only word-set recursion, the
+traceless set and its complement, word-set contraction, contraction
+decided by the equivalent type inclusion, full signalling as the
+admissibility of the reversed contraction on the dual, a dense
+product-basis builder, the per-word basis dimension and the enumerated
+critical-set intersection."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import hypothesis
 import numpy as np
@@ -15,25 +19,34 @@ from hypothesis import strategies as st
 
 from hotypes import (
     Arrow,
+    ContractionSpec,
     Label,
     TRIVIAL,
     TypeExpr,
     BitWord,
     Elementary,
     Trivial,
+    Verdict,
     WordSet,
     bar,
     build_D,
-    complement_bar,
-    complement_perp,
-    concat,
-    critical_set_multi,
-    full_set,
+    check_inclusion,
     herm_basis,
     io_partition,
     tensor,
 )
-from hotypes.strings import canonical_universe
+from hotypes.admissibility import _orient_pairs, _resolve_pairs
+from hotypes.signalling import _resolve_pair
+from hotypes.strings import (
+    _critical_word,
+    all_ones,
+    canonical_universe,
+    complement_perp,
+    concat,
+    critical_set_multi,
+    full_set,
+)
+from hotypes.type_core import _flat_tree
 
 hypothesis.settings.register_profile(
     "hotypes", deadline=None, max_examples=60, derandomize=True
@@ -123,6 +136,105 @@ def reference_D(x: TypeExpr) -> WordSet:
     return concat(full_set(left.universe), right).union(
         concat(complement_bar(left), complement_perp(right))
     )
+
+
+def word_mask(universe: Sequence[Label], bits_by_name: dict[str, int]) -> int:
+    """The word {label name: bit} as a mask over the universe."""
+    return sum(bits_by_name[a.name] << i for i, a in enumerate(universe))
+
+
+def traceless_set(universe: Iterable[Label]) -> WordSet:
+    """T = W minus the all-ones word; empty over the empty universe."""
+    w = full_set(universe)
+    return WordSet(w.universe, w.masks - {all_ones(w.universe).bits})
+
+
+def complement_bar(j: WordSet) -> WordSet:
+    """T \\ J."""
+    return WordSet(j.universe, traceless_set(j.universe).masks - j.masks)
+
+
+def _positions(universe: tuple[Label, ...], labels: Sequence[Label | str]) -> list[int]:
+    index = {a.name: i for i, a in enumerate(universe)}
+    out = []
+    for label in labels:
+        name = label.name if isinstance(label, Label) else label
+        if name not in index:
+            raise ValueError(f"label {name!r} not in universe")
+        out.append(index[name])
+    return out
+
+
+def contract_set(s: WordSet, pairs: Sequence[tuple[Label | str, Label | str]]) -> WordSet:
+    """Contract every pair on every word: a word whose two bits of some
+    pair disagree is dropped, the others lose the paired positions.  Pair
+    order is immaterial."""
+    flat: list[str] = []
+    for a, b in pairs:
+        flat.append(a.name if isinstance(a, Label) else a)
+        flat.append(b.name if isinstance(b, Label) else b)
+    if len(set(flat)) != len(flat):
+        raise ValueError(f"contraction pairs overlap: {flat}")
+    positions = _positions(s.universe, flat)
+    pair_positions = [(positions[2 * i], positions[2 * i + 1]) for i in range(len(pairs))]
+    dropped = {p for pq in pair_positions for p in pq}
+    keep = tuple(lbl for i, lbl in enumerate(s.universe) if i not in dropped)
+
+    survivors = set()
+    for mask in s.masks:
+        if any(((mask >> pa) & 1) != ((mask >> pb) & 1) for pa, pb in pair_positions):
+            continue
+        out = 0
+        shift = 0
+        for i in range(len(s.universe)):
+            if i in dropped:
+                continue
+            out |= ((mask >> i) & 1) << shift
+            shift += 1
+        survivors.add(out)
+    return WordSet(keep, frozenset(survivors))
+
+
+def _tensor_fold(parts: Sequence[TypeExpr]) -> TypeExpr:
+    if not parts:
+        return TRIVIAL
+    out = parts[0]
+    for part in parts[1:]:
+        out = tensor(out, part)
+    return out
+
+
+def supermap_inclusion_form(x: TypeExpr, spec: ContractionSpec) -> Verdict:
+    """Decide the contraction by the equivalent type inclusion.
+
+    Builds (tensor of (B_i -> A_i)) -> (remaining inputs -> remaining
+    outputs) for the oriented pairs (A_i input, B_i output) and runs
+    check_inclusion against it.  Agrees with check_contraction.
+    """
+    analysis = io_partition(x)
+    rejection, oriented = _orient_pairs(analysis.inputs, _resolve_pairs(analysis.elementary, spec))
+    if rejection is not None:
+        raise ValueError(f"pairs must join inputs with outputs ({rejection.reason.value})")
+    if not oriented:
+        raise ValueError("at least one contraction pair is required")
+    contracted = {name for pair in oriented for name in (pair[0].name, pair[1].name)}
+    plugs = _tensor_fold([Arrow(Elementary(b), Elementary(a)) for a, b in oriented])
+    rest_in = _tensor_fold(
+        [Elementary(a) for a in analysis.inputs_ordered() if a.name not in contracted]
+    )
+    rest_out = _tensor_fold(
+        [Elementary(a) for a in analysis.outputs_ordered() if a.name not in contracted]
+    )
+    target = Arrow(plugs, Arrow(rest_in, rest_out))
+    return check_inclusion(x, target)
+
+
+def full_signalling(x: TypeExpr, a: Label | str, b: Label | str) -> bool:
+    """Critical-set test for full signalling from input a to output b: the
+    reversed contraction on the dual type must be admissible."""
+    tree = _flat_tree(x)
+    i, j = _resolve_pair(tree, a, b)
+    return _critical_word(_flat_tree(bar(x)), [(tree.labels[j], tree.labels[i])]) is None
 
 
 def dense_basis(words: WordSet) -> list[np.ndarray]:

@@ -28,9 +28,7 @@ from hotypes import (
     io_partition,
     parse_type,
 )
-from hotypes.signalling import full_signalling
-
-from conftest import enumerated_critical_word, random_type
+from conftest import enumerated_critical_word, full_signalling, random_type
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -55,7 +53,7 @@ def refuse_word_sets(monkeypatch) -> None:
         raise AssertionError("a word set was built")
 
     for module in (hotypes, hotypes.strings, hotypes.admissibility, hotypes.signalling, hotypes.cli):
-        for name in ("build_D", "critical_set", "critical_set_multi"):
+        for name in ("build_D", "critical_set_multi"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
 

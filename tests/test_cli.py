@@ -144,6 +144,17 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_inclusion_over_the_label_cap_is_usage_error(self, capsys, monkeypatch):
+        def refuse(x):
+            raise AssertionError("build_D called on a type over the label cap")
+
+        monkeypatch.setattr("hotypes.admissibility.build_D", refuse)
+        channels = "*".join(f"(A{i}->B{i})" for i in range(32))
+        for command in ("inclusion", "equivalence"):
+            code, out, err = run_cli(capsys, "check", command, channels, channels)
+            assert (code, out) == (2, "")
+            assert "64 labels" in err
+
 
 class TestSignalling:
     def test_matrix_rows(self, capsys):

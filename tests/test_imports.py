@@ -1,16 +1,23 @@
-"""The exact core stays free of numerics: the type, word-set, decision and
-signalling modules import neither numpy nor the dense oracle."""
+"""The package's import surface.  The exact core stays free of numerics:
+the type, word-set, decision and signalling modules import neither numpy
+nor the dense oracle.  ``__all__`` is the public API.  The benchmark's
+layer tracer wraps package functions by name, so the names it lists must
+keep resolving."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import hotypes
+import hotypes.oracle
 
 PACKAGE = Path(hotypes.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 CORE = ("type_core", "strings", "admissibility", "signalling")
 FORBIDDEN = ("numpy", "hotypes.oracle")
 
@@ -40,3 +47,65 @@ def test_core_module_imports_no_numerics(module):
 
 def test_the_guard_sees_the_oracle_imports():
     assert {"numpy", "hotypes.strings"} <= imported_modules("oracle")
+
+
+PUBLIC = {
+    # types and their structure
+    "Arrow", "DuplicateLabelError", "Elementary", "IoAnalysis", "Label", "TRIVIAL",
+    "Trivial", "TypeExpr", "TypeSyntaxError", "bar", "elementary_systems",
+    "io_partition", "k_value", "minimal_enclosing", "parse_type", "relabel_unique",
+    "render_type", "tensor",
+    # word sets
+    "BitWord", "WordSet", "build_D",
+    # decisions
+    "ContractionSpec", "Reason", "Verdict", "check_composition", "check_contraction",
+    "check_equivalence", "check_inclusion",
+    # signalling
+    "Relation", "SignallingVerdict", "crosscheck", "signalling_matrix", "signals",
+    # numerics
+    "OperatorMatrix", "SubspaceBasis", "channel_violation_margin", "delta_basis",
+    "dump_operator", "herm_basis", "is_channel", "is_nosignalling", "link_product",
+    "membership", "numeric_contraction", "phi_operator", "sample_deterministic",
+    "verify", "violation_witness",
+}
+
+
+def test_all_is_the_pinned_api():
+    assert len(hotypes.__all__) == len(set(hotypes.__all__))
+    assert set(hotypes.__all__) == PUBLIC
+    namespace: dict = {}
+    exec("from hotypes import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == PUBLIC
+    assert not any(isinstance(value, ModuleType) for value in namespace.values())
+
+
+def traced_layers() -> dict[str, list[str]]:
+    """``LAYERS`` of the benchmark's tracer, read from its source without
+    running it."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "LAYERS" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACING} defines no LAYERS")
+
+
+def test_traced_layers_resolve_in_the_package():
+    layers = traced_layers()
+    assert layers
+    for module, functions in layers.items():
+        owner = importlib.import_module(f"hotypes.{module}")
+        for function in functions:
+            assert callable(getattr(owner, function, None)), f"hotypes.{module}.{function}"
+
+
+def test_benchmark_word_set_probes():
+    # the signal workload reads build_D's cache counters; the oracle
+    # workload checks the basis of D_x against the counted dimension
+    assert callable(hotypes.build_D.cache_info)
+    for text, dims in (("(A->B)*(C->D)", {}), ("((A->B)->(C->D))", {}), ("~(A->B)*C", {"A": 3})):
+        x = hotypes.parse_type(text, dims)
+        words = hotypes.build_D(x)
+        assert len(hotypes.oracle.basis_for_words(words)) == hotypes.oracle.basis_dimension(x)

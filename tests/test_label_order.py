@@ -22,16 +22,15 @@ from hotypes import (
     check_contraction,
     check_equivalence,
     check_inclusion,
-    critical_set,
     elementary_systems,
     io_partition,
     parse_type,
     signals,
 )
 from hotypes.cli import main
-from hotypes.strings import canonical_universe, word_count
+from hotypes.strings import canonical_universe, critical_set_multi, word_count
 
-from conftest import random_type, random_type_with_io
+from conftest import random_type, random_type_with_io, word_mask
 
 
 def shuffled_labels(rng: random.Random, x):
@@ -79,7 +78,7 @@ def test_contraction_witness_is_the_smallest_rendered_hit():
         for a in analysis.inputs_ordered():
             for b in analysis.outputs_ordered():
                 verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
-                hits = d.intersection(critical_set(x, a, b))
+                hits = d.intersection(critical_set_multi(x, [(a, b)]))
                 assert verdict.admissible == (not hits.masks)
                 if verdict.admissible:
                     continue
@@ -113,10 +112,9 @@ def test_set_operations_across_label_orders():
         d = build_D(x)
         order = list(d.universe)
         rng.shuffle(order)
-        holder = WordSet(tuple(order))
         moved = WordSet(
-            holder.universe,
-            frozenset(holder.word({a.name: w.bit(a) for a in w.universe}).bits for w in d),
+            tuple(order),
+            frozenset(word_mask(order, {a.name: w.bit(a) for a in w.universe}) for w in d),
         )
         assert moved.render() == d.render()
         assert d.is_subset(moved) and moved.is_subset(d)
@@ -134,9 +132,8 @@ def test_set_operations_across_label_orders_past_one_byte():
         order = labels[:]
         rng.shuffle(order)
         words = [{a.name: rng.randrange(2) for a in labels} for _ in range(50)]
-        here, there = WordSet(tuple(labels)), WordSet(tuple(order))
-        a = WordSet(here.universe, frozenset(here.word(w).bits for w in words))
-        b = WordSet(there.universe, frozenset(there.word(w).bits for w in words[::2]))
+        a = WordSet(tuple(labels), frozenset(word_mask(labels, w) for w in words))
+        b = WordSet(tuple(order), frozenset(word_mask(order, w) for w in words[::2]))
         assert b.is_subset(a) and not a.is_subset(b)
         assert a.intersection(b).render() == b.render()
         assert set(a.difference(b).render()) == set(a.render()) - set(b.render())

@@ -17,7 +17,6 @@ from hotypes import (
     build_D,
     channel_violation_margin,
     check_contraction,
-    contract_set,
     delta_basis,
     dump_operator,
     herm_basis,
@@ -44,7 +43,13 @@ from hotypes.oracle import (
     partial_transpose,
 )
 
-from conftest import dense_basis, enumerated_basis_dimension, random_type, random_type_with_io
+from conftest import (
+    contract_set,
+    dense_basis,
+    enumerated_basis_dimension,
+    random_type,
+    random_type_with_io,
+)
 
 ALGEBRA_TOL = 1e-12
 RESIDUAL_TOL = 1e-9

@@ -25,9 +25,7 @@ from hotypes import (
     signals,
     tensor,
 )
-from hotypes.signalling import full_signalling
-
-from conftest import random_type, random_type_with_io, type_exprs
+from conftest import full_signalling, random_type, random_type_with_io, type_exprs
 
 
 class TestSignals:

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hotypes import (
-    ANNIHILATED,
     TRIVIAL,
     Arrow,
     DuplicateLabelError,
@@ -17,36 +16,44 @@ from hotypes import (
     Label,
     Trivial,
     WordSet,
-    all_ones,
     bar,
     build_D,
-    complement_bar,
-    complement_perp,
-    concat,
-    contract_set,
-    critical_set,
-    critical_set_multi,
-    full_set,
     io_partition,
     parse_type,
     tensor,
-    traceless_set,
 )
 from hotypes.strings import (
     UniverseTooLargeError,
+    all_ones,
     canonical_universe,
-    compose_sets,
-    contract_word,
+    complement_perp,
+    concat,
+    critical_set_multi,
+    full_set,
     word_count,
 )
 
-from conftest import random_type, random_type_with_io, reference_D, type_exprs
+from conftest import (
+    complement_bar,
+    contract_set,
+    random_type,
+    random_type_with_io,
+    reference_D,
+    traceless_set,
+    type_exprs,
+    word_mask,
+)
 
 A, B, C, D = (Label(n) for n in "ABCD")
 
 
 def words(ws: WordSet) -> set[str]:
     return set(ws.render())
+
+
+def word_set(universe, *bits_by_name: dict[str, int]) -> WordSet:
+    """The words given as {label name: bit}, over the universe."""
+    return WordSet(universe, frozenset(word_mask(universe, bits) for bits in bits_by_name))
 
 
 class TestConstructors:
@@ -118,38 +125,25 @@ class TestConcat:
 
 class TestContraction:
     def test_mismatched_bits_annihilate(self):
-        universe = (A, B, C, D)
-        word = WordSet(universe, frozenset()).word({"A": 0, "B": 1, "C": 0, "D": 1})
-        assert contract_word(word, "A", "D") is ANNIHILATED
+        word = word_set((A, B, C, D), {"A": 0, "B": 1, "C": 0, "D": 1})
+        assert len(contract_set(word, [("A", "D")])) == 0
 
     def test_matched_bits_drop_positions(self):
-        universe = (A, B, C, D)
-        word = WordSet(universe, frozenset()).word({"A": 1, "B": 1, "C": 0, "D": 1})
-        contracted = contract_word(word, "A", "D")
-        assert contracted is not ANNIHILATED
-        assert contracted.render() == "1_B0_C"
+        word = word_set((A, B, C, D), {"A": 1, "B": 1, "C": 0, "D": 1})
+        assert words(contract_set(word, [("A", "D")])) == {"1_B0_C"}
 
     def test_contracting_everything_leaves_the_null_string(self):
-        word = WordSet((A, B), frozenset()).word({"A": 0, "B": 0})
-        assert contract_word(word, "A", "B").render() == "ε"
+        word = word_set((A, B), {"A": 0, "B": 0})
+        assert words(contract_set(word, [("A", "B")])) == {"ε"}
 
     def test_set_contraction_drops_annihilated_words(self):
-        universe = (A, B, C, D)
-        holder = WordSet(universe, frozenset())
-        s = WordSet(
-            universe,
-            frozenset(
-                holder.word(bits).bits
-                for bits in (
-                    {"A": 0, "B": 1, "C": 0, "D": 1},
-                    {"A": 0, "B": 0, "C": 0, "D": 1},
-                    {"A": 1, "B": 1, "C": 0, "D": 1},
-                )
-            ),
+        s = word_set(
+            (A, B, C, D),
+            {"A": 0, "B": 1, "C": 0, "D": 1},
+            {"A": 0, "B": 0, "C": 0, "D": 1},
+            {"A": 1, "B": 1, "C": 0, "D": 1},
         )
-        out = contract_set(s, [("A", "D")])
-        assert words(out) == {"1_B0_C"}
-        assert out.annihilated
+        assert words(contract_set(s, [("A", "D")])) == {"1_B0_C"}
 
     def test_no_pairs_is_identity(self):
         s = WordSet((A, B), frozenset({0b01, 0b11}))
@@ -175,33 +169,25 @@ class TestContraction:
 
 
 class TestComposeSets:
+    """The paper's composition J1 *_H J2: concatenate, then contract H."""
+
     def test_worked_pairing(self):
-        lhs = WordSet((A, B, C, D), frozenset()).word(
-            {"A": 0, "B": 1, "C": 0, "D": 1}
-        )
         e, f, g, h = (Label(n) for n in "EFGH")
-        rhs = WordSet((e, f, g, h), frozenset()).word(
-            {"E": 0, "F": 1, "G": 0, "H": 1}
-        )
-        out = compose_sets(
-            WordSet((A, B, C, D), frozenset({lhs.bits})),
-            WordSet((e, f, g, h), frozenset({rhs.bits})),
-            [("A", "E"), ("B", "F")],
-        )
+        lhs = word_set((A, B, C, D), {"A": 0, "B": 1, "C": 0, "D": 1})
+        rhs = word_set((e, f, g, h), {"E": 0, "F": 1, "G": 0, "H": 1})
+        out = contract_set(concat(lhs, rhs), [("A", "E"), ("B", "F")])
         assert words(out) == {"0_C1_D0_G1_H"}
 
     def test_no_pairs_is_concatenation(self):
         left, right = full_set([A]), full_set([B])
-        assert compose_sets(left, right, []).masks == concat(left, right).masks
+        assert contract_set(concat(left, right), []).masks == concat(left, right).masks
 
     def test_singletons_reduce_to_word_contraction(self):
         left = WordSet((A,), frozenset({1}))
         right = WordSet((B,), frozenset({1}))
-        out = compose_sets(left, right, [("A", "B")])
-        assert words(out) == {"ε"}
-        mismatch = compose_sets(left, WordSet((B,), frozenset({0})), [("A", "B")])
+        assert words(contract_set(concat(left, right), [("A", "B")])) == {"ε"}
+        mismatch = contract_set(concat(left, WordSet((B,), frozenset({0}))), [("A", "B")])
         assert len(mismatch) == 0
-        assert mismatch.annihilated
 
 
 class TestBuildD:
@@ -358,9 +344,9 @@ class TestPromotion:
 class TestCriticalSets:
     def test_tensor_example_single_pairs(self):
         x = parse_type("(A->B)*(C->D)")
-        assert words(critical_set(x, "A", "B")) == {"0_A0_B0_C1_D", "0_A0_B1_C1_D"}
-        assert words(critical_set(x, "C", "B")) == {"0_A0_B0_C1_D", "1_A0_B0_C1_D"}
-        assert words(critical_set(x, "A", "D")) == {"0_A1_B0_C0_D", "0_A1_B1_C0_D"}
+        assert words(critical_set_multi(x, [("A", "B")])) == {"0_A0_B0_C1_D", "0_A0_B1_C1_D"}
+        assert words(critical_set_multi(x, [("C", "B")])) == {"0_A0_B0_C1_D", "1_A0_B0_C1_D"}
+        assert words(critical_set_multi(x, [("A", "D")])) == {"0_A1_B0_C0_D", "0_A1_B1_C0_D"}
 
     def test_tensor_example_joint_pairs(self):
         # matched bits follow the actual pairing (C with B, A with D)
@@ -372,16 +358,25 @@ class TestCriticalSets:
         }
 
     def test_plain_channel(self):
-        assert words(critical_set(parse_type("A->B"), "A", "B")) == {"0_A0_B"}
+        assert words(critical_set_multi(parse_type("A->B"), [("A", "B")])) == {"0_A0_B"}
 
     def test_single_pair_degenerates_to_critical_set(self):
+        # one pair: bit 0 at both labels, 1 on every other output, any
+        # bits on the other inputs
         rng = random.Random(43)
         for _ in range(50):
             x = random_type_with_io(rng, max_systems=6)
             analysis = io_partition(x)
             a = min(analysis.inputs)
             b = min(analysis.outputs)
-            assert critical_set_multi(x, [(a, b)]).masks == critical_set(x, a, b).masks
+            s = critical_set_multi(x, [(a, b)])
+            others = [c for c in analysis.outputs if c != b]
+            expected = {
+                w.render()
+                for w in full_set(s.universe)
+                if not w.bit(a) and not w.bit(b) and all(w.bit(c) for c in others)
+            }
+            assert words(s) == expected
 
     def test_size_formula(self):
         rng = random.Random(47)
@@ -400,6 +395,6 @@ class TestCriticalSets:
     def test_rejects_wrong_roles(self):
         x = parse_type("(A->B)*(C->D)")
         with pytest.raises(ValueError):
-            critical_set(x, "B", "A")
+            critical_set_multi(x, [("B", "A")])
         with pytest.raises(ValueError):
             critical_set_multi(x, [("A", "B"), ("C", "B")])

@@ -21,7 +21,6 @@ from hotypes import (
     check_contraction,
     elementary_systems,
     io_partition,
-    is_subtype,
     k_value,
     minimal_enclosing,
     parse_type,
@@ -254,27 +253,6 @@ class TestIoPartition:
             flipped = io_partition(bar(x))
             assert flipped.inputs == forward.outputs
             assert flipped.outputs == forward.inputs
-
-
-class TestSubtype:
-    def test_channel_below_its_tester(self):
-        small = parse_type("A->B")
-        big = parse_type("(A->B)->I")
-        assert is_subtype(small, big)
-
-    def test_reflexive(self):
-        x = parse_type("(A->B)->(C->D)")
-        assert is_subtype(x, x)
-
-    def test_subterm_scan(self):
-        small = parse_type("C->D")
-        big = parse_type("(C->D)->((A->B)->I)")
-        assert is_subtype(small, big)
-        assert not is_subtype(big, small)
-        assert not is_subtype(parse_type("A->C"), big)
-
-    def test_labels_must_match(self):
-        assert not is_subtype(parse_type("A->B", {"A": 3}), parse_type("(A->B)->I"))
 
 
 class TestMinimalEnclosing:
