@@ -9,6 +9,7 @@ run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -280,10 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call in a process: parsing leaves
+    it unchanged, so later calls of ``main`` reuse it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     dims_path = args.dims or os.environ.get(DIMS_ENV_VAR)

@@ -62,26 +62,26 @@ def signals(x: TypeExpr, a: Label | str, b: Label | str) -> SignallingVerdict:
     means no signalling.
     """
     tree = _flat_tree(x)
-    return _verdict(tree, *_resolve_pair(tree, a, b))
+    return _verdict(x, tree, *_resolve_pair(tree, a, b))
 
 
-def _verdict(tree: _FlatTree, i: int, j: int) -> SignallingVerdict:
+def _verdict(x: TypeExpr, tree: _FlatTree, i: int, j: int) -> SignallingVerdict:
     node, k = tree.enclosing(i, j)
     relation = Relation.FULL_SIGNALLING if k == 1 else Relation.NO_SIGNALLING
-    return SignallingVerdict(tree.labels[i], tree.labels[j], relation, tree.term[node])
+    return SignallingVerdict(tree.labels[i], tree.labels[j], relation, tree.subterm(x, node))
 
 
 def signalling_matrix(x: TypeExpr) -> list[SignallingVerdict]:
     """One verdict per (input, output) pair, inputs then outputs in textual
     order.  The type is walked once into a flat tree; each pair then climbs
     from the input's leaf to the first node whose subterm holds the output."""
-    return _rows(_flat_tree(x))
+    return _rows(x, _flat_tree(x))
 
 
-def _rows(tree: _FlatTree) -> list[SignallingVerdict]:
+def _rows(x: TypeExpr, tree: _FlatTree) -> list[SignallingVerdict]:
     inputs = [i for i, k in enumerate(tree.k) if k == 1]
     outputs = [j for j, k in enumerate(tree.k) if k == 0]
-    return [_verdict(tree, i, j) for i in inputs for j in outputs]
+    return [_verdict(x, tree, i, j) for i in inputs for j in outputs]
 
 
 def crosscheck(x: TypeExpr) -> bool:
@@ -90,7 +90,7 @@ def crosscheck(x: TypeExpr) -> bool:
     Admissibility comes from the class pass over the type tree, which,
     unlike ``check_contraction``, also takes pairs of unequal dimension."""
     tree = _flat_tree(x)
-    for row in _rows(tree):
+    for row in _rows(x, tree):
         admissible = _critical_word(tree, [(row.source, row.target)]) is None
         if admissible != (row.relation is Relation.NO_SIGNALLING):
             return False

@@ -136,14 +136,8 @@ class WordSet:
         masks = self.masks | self._aligned(other.universe, other.masks)
         return WordSet(self.universe, masks)
 
-    def intersection(self, other: "WordSet") -> "WordSet":
-        return WordSet(self.universe, self.masks & self._aligned(other.universe, other.masks))
-
     def difference(self, other: "WordSet") -> "WordSet":
         return WordSet(self.universe, self.masks - self._aligned(other.universe, other.masks))
-
-    def is_subset(self, other: "WordSet") -> bool:
-        return other._aligned(self.universe, self.masks) <= other.masks
 
     def min_word(self) -> BitWord:
         """Lexicographically smallest member (sorted-name order, 0 < 1),

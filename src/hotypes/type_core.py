@@ -278,7 +278,7 @@ class _FlatTree(NamedTuple):
     """A type as post-order arrays, children before parents, so the root
     is the last node and the nodes of a subterm are numbered contiguously
     from ``first[j]`` to its top node j.  Node j holds the subterm
-    ``term[j]``; it is an arrow when ``left[j]`` is not -1, with sides
+    ``subterm(x, j)``; it is an arrow when ``left[j]`` is not -1, with sides
     ``left[j]`` and ``right[j]``, and otherwise a leaf.  ``parent`` is -1
     at the root, and ``turns[j]`` is the parity of the left turns on the
     path from the root down to node j.  Label i (textual order) sits at
@@ -293,7 +293,7 @@ class _FlatTree(NamedTuple):
     parent: tuple[int, ...]
     first: tuple[int, ...]
     turns: tuple[int, ...]
-    term: tuple[TypeExpr, ...]
+    term: tuple[TypeExpr | None, ...]  # None at the root, see ``subterm``
 
     def inputs(self) -> tuple[Label, ...]:
         return tuple(a for a, k in zip(self.labels, self.k) if k == 1)
@@ -308,6 +308,12 @@ class _FlatTree(NamedTuple):
             if a.name == name:
                 return i
         raise ValueError(f"label {name!r} does not occur in the type")
+
+    def subterm(self, x: TypeExpr, j: int) -> TypeExpr:
+        """The subterm at node j of x, the type this tree was walked from.
+        The root's entry of ``term`` is None rather than x, so that a type
+        and the tree kept in its ``__dict__`` form no reference cycle."""
+        return x if j == len(self.term) - 1 else self.term[j]
 
     def enclosing(self, i: int, j: int) -> tuple[int, int]:
         """The node of the smallest subterm holding labels i and j, and K
@@ -324,7 +330,7 @@ def _flat_tree(x: TypeExpr) -> _FlatTree:
     """The flat tree of x, built on the first call and kept in the object's
     ``__dict__``, so every structural question about one type object
     shares one walk.  It is held per object, never per equal value, so
-    the root's ``term`` is x itself."""
+    the root's subterm is x itself."""
     tree = x.__dict__.get("_flat_tree")
     if tree is None:
         tree = x.__dict__["_flat_tree"] = _walk_tree(x)
@@ -343,7 +349,7 @@ def _walk_tree(x: TypeExpr) -> _FlatTree:
     parent: list[int] = []
     first: list[int] = []
     turns: list[int] = []
-    term: list[TypeExpr] = []
+    term: list[TypeExpr | None] = []
     finished: list[int] = []  # nodes whose parent is not yet numbered
     todo: list[tuple[TypeExpr, int, bool]] = [(x, 0, False)]
     while todo:
@@ -369,6 +375,7 @@ def _walk_tree(x: TypeExpr) -> _FlatTree:
         turns.append(parity)
         term.append(node)
         finished.append(j)
+    term[-1] = None  # the root is x
     arrays = (left, right, parent, first, turns, term)
     return _FlatTree(_distinct_labels(labels), tuple(k), tuple(leaf_node), *map(tuple, arrays))
 
@@ -503,4 +510,4 @@ def minimal_enclosing(x: TypeExpr, a: Label | str, b: Label | str) -> TypeExpr:
     """
     tree = _flat_tree(x)
     node, _ = tree.enclosing(tree.position(a), tree.position(b))
-    return tree.term[node]
+    return tree.subterm(x, node)

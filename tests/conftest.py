@@ -1,11 +1,12 @@
 """Shared test helpers: seeded random type generation and the reference
 oracles the exact core is checked against.  The oracles are the
 paper-literal derivations: the arrow-only word-set recursion, the
-traceless set and its complement, word-set contraction, contraction
-decided by the equivalent type inclusion, full signalling as the
-admissibility of the reversed contraction on the dual, a dense
-product-basis builder, the per-word basis dimension and the enumerated
-critical-set intersection."""
+traceless set and its complement, word-set intersection and inclusion,
+word-set contraction, contraction decided by the equivalent type
+inclusion, full signalling as the admissibility of the reversed
+contraction on the dual, a dense product-basis builder, the per-word
+basis dimension, the enumerated critical-set intersection, and the
+sampler and witness as plain dense loops."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from hotypes import (
     Arrow,
+    OperatorMatrix,
     ContractionSpec,
     Label,
     TRIVIAL,
@@ -30,12 +32,14 @@ from hotypes import (
     WordSet,
     bar,
     build_D,
+    check_contraction,
     check_inclusion,
     herm_basis,
     io_partition,
     tensor,
 )
 from hotypes.admissibility import _orient_pairs, _resolve_pairs
+from hotypes.oracle import _to_matrix
 from hotypes.signalling import _resolve_pair
 from hotypes.strings import (
     _critical_word,
@@ -136,6 +140,17 @@ def reference_D(x: TypeExpr) -> WordSet:
     return concat(full_set(left.universe), right).union(
         concat(complement_bar(left), complement_perp(right))
     )
+
+
+def word_intersection(s: WordSet, t: WordSet) -> WordSet:
+    """The words of s that are also in t, over the labels of s; t may
+    order the same labels differently."""
+    return WordSet(s.universe, s.masks & s._aligned(t.universe, t.masks))
+
+
+def word_is_subset(s: WordSet, t: WordSet) -> bool:
+    """Is every word of s in t?  The two may order their labels differently."""
+    return t._aligned(s.universe, s.masks) <= t.masks
 
 
 def word_mask(universe: Sequence[Label], bits_by_name: dict[str, int]) -> int:
@@ -273,5 +288,68 @@ def enumerated_critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) 
     """The smallest word of D_x in the critical set of the (input, output)
     pairs, by building both sets and intersecting them; None when they
     miss each other."""
-    hits = build_D(x).intersection(critical_set_multi(x, pairs))
+    hits = word_intersection(build_D(x), critical_set_multi(x, pairs))
     return hits.min_word() if hits.masks else None
+
+
+def _reference_block(word: BitWord, labels: Sequence[Label]) -> tuple[slice, ...]:
+    """One word's coefficients, read bit by bit by label name: the identity
+    index at its 1 bits, the traceless indices at its 0 bits."""
+    return tuple(slice(0, 1) if word.bit(a) else slice(1, None) for a in labels)
+
+
+def reference_sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> OperatorMatrix:
+    """The seeded sample of x by the plain halving loop: a coefficient mask
+    built word by word, the draws filled block by block in word-set order,
+    and one spectrum per halving until the operator is positive."""
+    analysis = io_partition(x)
+    labels = canonical_universe(analysis.elementary)
+    lam = float(analysis.lam)
+    side = int(np.prod([a.dimension for a in labels]))
+    base = lam * np.eye(side, dtype=complex)
+    if magnitude == 0:
+        return OperatorMatrix(labels, base)
+    words = build_D(x)
+    allowed = np.zeros(tuple(a.dimension**2 for a in labels), dtype=bool)
+    for word in words:
+        allowed[_reference_block(word, labels)] = True
+    draws = magnitude * np.random.default_rng(seed).standard_normal(np.count_nonzero(allowed))
+    coeffs = np.zeros(allowed.shape)
+    offset = 0
+    for word in words:
+        block = coeffs[_reference_block(word, labels)]
+        block[...] = draws[offset : offset + block.size].reshape(block.shape)
+        offset += block.size
+    deviation = _to_matrix(labels, coeffs).data
+    for _ in range(60):
+        data = base + deviation
+        if float(np.linalg.eigvalsh(data)[0]) >= 0:
+            return OperatorMatrix(labels, data)
+        deviation /= 2
+    return OperatorMatrix(labels, base + deviation)
+
+
+def reference_violation_witness(x: TypeExpr, a: Label, b: Label) -> OperatorMatrix:
+    """The witness map of an inadmissible contraction as a dense operator:
+    lambda I plus epsilon times the Kronecker product of diag(1, -1, 0, ...)
+    at the witness word's 0 bits and identities at its 1 bits, epsilon
+    halved from lambda / 2 until the spectrum is non-negative."""
+    analysis = io_partition(x)
+    word = check_contraction(x, ContractionSpec.of([(a, b)])).witness
+    labels = canonical_universe(analysis.elementary)
+    factor = np.array([[1.0 + 0j]])
+    for lbl in labels:
+        if word.bit(lbl):
+            block = np.eye(lbl.dimension, dtype=complex)
+        else:
+            block = np.zeros((lbl.dimension, lbl.dimension), dtype=complex)
+            block[0, 0], block[1, 1] = 1, -1
+        factor = np.kron(factor, block)
+    lam = float(analysis.lam)
+    side = factor.shape[0]
+    epsilon = lam / 2
+    data = lam * np.eye(side) + epsilon * factor
+    while float(np.linalg.eigvalsh(data)[0]) < 0:
+        epsilon /= 2
+        data = lam * np.eye(side) + epsilon * factor
+    return OperatorMatrix(labels, data)

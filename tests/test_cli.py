@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -354,3 +355,42 @@ class TestReportStability:
         )
         assert result.returncode == 0
         assert "lambda:  1/2" in result.stdout
+
+
+class TestParserReuse:
+    def test_consecutive_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        dims = tmp_path / "dims.cfg"
+        dims.write_text("A = 3\nB = 3\n", encoding="utf-8")
+        calls = [
+            (["--json", "analyze", "A->B"], None),
+            (["analyze", "A->B", "--json"], None),
+            (["--dims", str(dims), "analyze", "A->B"], None),
+            (["check", "frobnicate", "A", "B"], None),  # usage error: exit 2
+            (["analyze", "A->B"], str(dims)),
+            (["analyze", "(A->B)*(C->D)", "--dims", str(dims), "--json"], None),
+            (["--json", "check", "contraction", "(A->B)*(C->D)", "--pairs", "A:B"], None),
+            (["oracle", "verify", "(A->B)*(C->D)", "--trials", "1"], None),
+        ]
+        for argv, env_dims in calls:
+            env = dict(os.environ)
+            env.pop("HOTYPES_DIMS", None)
+            monkeypatch.delenv("HOTYPES_DIMS", raising=False)
+            if env_dims is not None:
+                env["HOTYPES_DIMS"] = env_dims
+                monkeypatch.setenv("HOTYPES_DIMS", env_dims)
+            code, out, err = run_cli(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "hotypes.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert (code, _without_timing(out), err) == (
+                fresh.returncode, _without_timing(fresh.stdout), fresh.stderr
+            ), argv
+
+
+def _without_timing(out: str):
+    """The report without its run-dependent field; text output as is."""
+    if not out.startswith("{"):
+        return out
+    report = json.loads(out)
+    del report["timing_ms"]
+    return report

@@ -49,6 +49,8 @@ from conftest import (
     enumerated_basis_dimension,
     random_type,
     random_type_with_io,
+    reference_sample_deterministic,
+    reference_violation_witness,
 )
 
 ALGEBRA_TOL = 1e-12
@@ -464,6 +466,83 @@ class TestViolationWitness:
             contracted = numeric_contraction(op, "A", "B")
             margins.append(channel_violation_margin(contracted, ["C"], ["D"]))
         assert margins[0] == pytest.approx(2 * margins[1], rel=1e-9)
+
+
+def _reference_types() -> list:
+    """320 seeded types: qubits up to five systems, qubit-qutrit mixes up
+    to four."""
+    rng = random.Random(127)
+    return [
+        random_type(rng, max_systems=4, dims=(2, 3)) if n % 2 else random_type(rng, max_systems=5)
+        for n in range(320)
+    ]
+
+
+def _same_bits(op: OperatorMatrix, reference: OperatorMatrix) -> bool:
+    """Equal labels and entries, and the same bytes (so signed zeros too)."""
+    return (
+        op.labels == reference.labels
+        and np.array_equal(op.data, reference.data)
+        and op.data.dtype == reference.data.dtype
+        and op.data.tobytes() == reference.data.tobytes()
+    )
+
+
+class _CountingEigvalsh:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+
+    def take(self) -> int:
+        calls, self.calls = self.calls, 0
+        return calls
+
+
+class TestBitExactReferences:
+    """The sampler and the witness against the plain dense loops of
+    conftest, byte for byte, and their spectrum budgets."""
+
+    def test_samples_equal_the_halving_loop(self, monkeypatch):
+        spectra = _CountingEigvalsh(monkeypatch)
+        smallest = np.inf  # largest entry of a magnitude-64 deviation
+        for seed, x in enumerate(_reference_types()):
+            lam = float(io_partition(x).lam)
+            for magnitude in (0.25, 1.0, 4.0, 64.0):
+                reference = reference_sample_deterministic(x, seed=seed, magnitude=magnitude)
+                spectra.take()
+                sample = sample_deterministic(x, seed=seed, magnitude=magnitude)
+                assert spectra.take() <= 3
+                assert _same_bits(sample, reference)
+                deviation = np.max(np.abs(sample.data - lam * np.eye(sample.side)))
+                if magnitude == 64.0 and deviation:
+                    smallest = min(smallest, deviation)
+        assert smallest < 64.0 / 2**8  # magnitude 64 forces many halvings
+
+    def test_witnesses_equal_the_dense_kronecker_loop(self, monkeypatch):
+        spectra = _CountingEigvalsh(monkeypatch)
+        witnesses = 0
+        for x in _reference_types():
+            analysis = io_partition(x)
+            for a in analysis.inputs_ordered():
+                for b in analysis.outputs_ordered():
+                    if a.dimension != b.dimension:
+                        continue
+                    verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
+                    if verdict.admissible or verdict.witness is None:
+                        continue
+                    reference = reference_violation_witness(x, a, b)
+                    spectra.take()
+                    witness = violation_witness(x, a, b)
+                    assert spectra.take() == 0
+                    assert _same_bits(witness, reference)
+                    witnesses += 1
+        assert witnesses > 200
 
 
 class TestStringOperatorCompatibility:

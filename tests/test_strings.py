@@ -41,6 +41,7 @@ from conftest import (
     reference_D,
     traceless_set,
     type_exprs,
+    word_is_subset,
     word_mask,
 )
 
@@ -266,8 +267,8 @@ class TestBuildD:
             traceless_set(analysis.outputs),
         )
         upper = concat(full_set(analysis.inputs), traceless_set(analysis.outputs))
-        assert lower.is_subset(d)
-        assert d.is_subset(upper)
+        assert word_is_subset(lower, d)
+        assert word_is_subset(d, upper)
 
 
 class TestTensorClosedForm:

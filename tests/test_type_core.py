@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -334,6 +336,18 @@ class TestTreeMemo:
         assert x == y and x is not y
         assert minimal_enclosing(x, "A", "C") is x
         assert minimal_enclosing(y, "A", "C") is y
+
+    def test_a_walked_type_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            x = parse_type("(A->B)*(C->D)")
+            io_partition(x), signals(x, "A", "B"), minimal_enclosing(x, "A", "D")
+            assert "_flat_tree" in x.__dict__
+            alive = weakref.ref(x)
+            del x
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_equality_and_hash_ignore_the_tree(self):
         x, fresh = parse_type("(A->B)->C"), parse_type("(A->B)->C")
