@@ -87,7 +87,7 @@ def cmd_analyze(args, dims: dict[str, int]) -> int:
             f"type has {len(analysis.elementary)} labels; word sets are capped at {MAX_UNIVERSE}"
         )
     count = word_count(x)
-    # an empty D_x is listed without building it: its subterms' sets can be huge
+    # an empty D_x is listed from its count alone, with no word set built
     words = [] if count == 0 else build_D(x).render() if count <= 64 else None
     report = {
         "command": "analyze",

@@ -531,15 +531,20 @@ def verify(
     critical-set verdict; for an admissible pair, the channel and
     no-signalling residuals on the samples ``seed + trial``, each drawn
     once for all pairs; for an inadmissible pair, the channel violation of
-    the witness map.
+    the witness map.  A tolerance that is not finite and positive, or a
+    negative trial count, raises ``ValueError``.
     """
+    if not 0 < tol < float("inf"):  # also refuses nan
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     analysis = io_partition(x)
     inputs, outputs = analysis.inputs_ordered(), analysis.outputs_ordered()
     lambda_ok = analysis.lam == Fraction(1, _side(outputs))
     _check_bytes(analysis.elementary)  # before D_x is enumerated
     basis_size = len(basis_for_words(build_D(x)))
     basis_ok = basis_size == basis_dimension(x)
-    if trials <= 0:
+    if trials == 0:
         pairs = []
     elif pairs is None:
         pairs = [(a, b) for a in inputs for b in outputs if a.dimension == b.dimension]

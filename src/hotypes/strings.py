@@ -5,12 +5,13 @@ order (bit i holds the value at the i-th label), so concatenation is a
 shift.  Sorted-name order is used only to show words: rendering, iteration
 and the smallest member.  Word sets are plain frozensets of masks, so
 every operation here is exact and exhaustive; universes are capped at 63
-labels to keep single-machine-word encoding.  ``build_D`` joins the word
-sets of a tensor's factors directly, by the paper's tensor rule, rather
-than through the arrows the tensor desugars to.  ``word_count`` counts
-D_x and ``_critical_word`` decides contraction by one pass over three
-classes of words, without building a set; ``critical_set_multi`` builds
-the obstruction set only to show it.
+labels to keep single-machine-word encoding.  Every word over a subterm
+is in D_x, is the all-ones word, or is in the rest R_x, and one rule on
+these three classes serves every use: ``build_D`` builds D_x from the
+D and R sets of the sides, never a set larger than D_x, so its cost
+follows |D_x|; ``word_count`` counts D_x and ``_critical_word`` decides
+contraction by one pass over the classes, without building a set.
+``critical_set_multi`` builds the obstruction set only to show it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .type_core import (
     _distinct_labels,
     _flat_tree,
     _fold,
-    as_tensor,
     io_partition,
 )
 
@@ -42,12 +42,9 @@ class UniverseTooLargeError(ValueError):
 
 
 def _universe(labels: Iterable[Label]) -> tuple[Label, ...]:
-    """The labels in the given order; duplicates and oversized universes
-    are rejected."""
-    ordered = tuple(labels)
-    names = [a.name for a in ordered]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate labels in universe: {names}")
+    """The labels in the given order; a repeated label
+    (``DuplicateLabelError``) and an oversized universe are rejected."""
+    ordered = _distinct_labels(list(labels))
     if len(ordered) > MAX_UNIVERSE:
         raise UniverseTooLargeError(f"universe has {len(ordered)} labels; the cap is {MAX_UNIVERSE}")
     return ordered
@@ -132,10 +129,6 @@ class WordSet:
         same_labels = set(word.universe) == set(self.universe)
         return same_labels and self._aligned(word.universe, [word.bits]) <= self.masks
 
-    def union(self, other: "WordSet") -> "WordSet":
-        masks = self.masks | self._aligned(other.universe, other.masks)
-        return WordSet(self.universe, masks)
-
     def difference(self, other: "WordSet") -> "WordSet":
         return WordSet(self.universe, self.masks - self._aligned(other.universe, other.masks))
 
@@ -150,26 +143,6 @@ class WordSet:
 
     def render(self) -> list[str]:
         return [w.render() for w in self]
-
-
-# --- constructors -----------------------------------------------------------
-
-def full_set(universe: Iterable[Label]) -> WordSet:
-    """W: every word over the universe.  Over the empty universe this is
-    the singleton holding the null string."""
-    ordered = _universe(universe)
-    return WordSet(ordered, frozenset(range(1 << len(ordered))))
-
-
-def all_ones(universe: Iterable[Label]) -> BitWord:
-    """e: the all-ones word."""
-    ordered = _universe(universe)
-    return BitWord(ordered, (1 << len(ordered)) - 1)
-
-
-def complement_perp(j: WordSet) -> WordSet:
-    """W \\ J."""
-    return WordSet(j.universe, full_set(j.universe).masks - j.masks)
 
 
 # --- concatenation -----------------------------------------------------------
@@ -187,36 +160,55 @@ def concat(j1: WordSet, j2: WordSet) -> WordSet:
 
 
 # --- the recursive word-set builder ------------------------------------------
+#
+# Every word over a subterm x is in D_x, is the all-ones word e_x, or is in
+# the rest R_x.  By the classes of its halves (``_arrow_class``),
+#     D_{x->y} = W_x D_y ∪ R_x (R_y ∪ {e_y}),
+#     R_{x->y} = (D_x ∪ {e_x}) (R_y ∪ {e_y}) \ {e_x e_y},
+# so a bar x->I swaps the two sets, and the tensor rule follows.
 
 @lru_cache(maxsize=1024)
 def build_D(x: TypeExpr) -> WordSet:
     """The word set spanning the traceless part of deterministic maps of x.
 
-    Base cases: a single label contributes {0}; the trivial type the empty
-    set.  A tensor x*y (stored ~(x -> ~y)) is built from its factors,
-    D_{x*y} = e_x D_y ∪ D_x e_y ∪ D_x D_y, so no set larger than the result
-    is made.  Any other arrow gives D_{x->y} = W_x D_y ∪ bar(D_x) perp(D_y).
-    The labels of the two sides must differ (``DuplicateLabelError``).
-    Memoized per subterm.
+    A label gives {0} and I the empty set; arrows follow the three-class
+    rule above.  W_x is enumerated only when D_y is non-empty and R_y only
+    when R_x is, so no set larger than D_x is made and the cost follows
+    |D_x|.  The labels of the two sides must differ
+    (``DuplicateLabelError``).  Memoized per subterm.
     """
     if isinstance(x, Trivial):
         return WordSet((), frozenset())
     if isinstance(x, Elementary):
         return WordSet((x.label,), frozenset({0}))
     assert isinstance(x, Arrow)
-    factors = as_tensor(x)
-    left, right = (build_D(side) for side in factors or (x.left, x.right))
-    _distinct_labels([*left.universe, *right.universe])
-    if factors is not None:
-        shift = len(left.universe)
-        e_x, e_y = all_ones(left.universe).bits, all_ones(right.universe).bits
-        masks = {u | v << shift for u in left.masks | {e_x} for v in right.masks | {e_y}}
-        masks.discard(e_x | e_y << shift)
-        return WordSet(_universe(left.universe + right.universe), frozenset(masks))
-    w_left = full_set(left.universe)
-    # bar(D_x) = W_x minus e_x minus D_x, taken from the W_x already built
-    bar_left = WordSet(left.universe, w_left.masks - left.masks - {all_ones(left.universe).bits})
-    return concat(w_left, right).union(concat(bar_left, complement_perp(right)))
+    if isinstance(x.right, Trivial):
+        return _rest(x.left)
+    rest_x, d_y = _rest(x.left), build_D(x.right)
+    universe, shift = _universe(rest_x.universe + d_y.universe), len(rest_x.universe)
+    e_y = (1 << len(d_y.universe)) - 1
+    w_x = range(1 << shift) if d_y.masks else ()
+    tail = _rest(x.right).masks | {e_y} if rest_x.masks else ()
+    masks = {u | v << shift for u in w_x for v in d_y.masks}
+    masks.update(u | v << shift for u in rest_x.masks for v in tail)
+    return WordSet(universe, frozenset(masks))
+
+
+def _rest(x: TypeExpr) -> WordSet:
+    """R_x, the words of x in neither D_x nor the all-ones word; not cached."""
+    if isinstance(x, Trivial):
+        return WordSet((), frozenset())
+    if isinstance(x, Elementary):
+        return WordSet((x.label,), frozenset())
+    assert isinstance(x, Arrow)
+    if isinstance(x.right, Trivial):
+        return build_D(x.left)
+    d_x, rest_y = build_D(x.left), _rest(x.right)
+    universe, shift = _universe(d_x.universe + rest_y.universe), len(d_x.universe)
+    e_x, e_y = (1 << shift) - 1, (1 << len(rest_y.universe)) - 1
+    masks = {u | v << shift for u in d_x.masks | {e_x} for v in rest_y.masks | {e_y}}
+    masks.discard(e_x | e_y << shift)
+    return WordSet(universe, frozenset(masks))
 
 
 def _count_arrow(left, right):
@@ -234,12 +226,8 @@ def _class_count(x: TypeExpr, leaf) -> int:
 
 
 def word_count(x: TypeExpr) -> int:
-    """|D_x| without enumerating it.
-
-    Each word over a subterm is in D, is the all-ones word (class E), or is
-    neither (class R); counting the three classes follows the arrow rule of
-    build_D word by word: (u, v) is in D_{x->y} when v is in D_y, or when
-    u is in R and v is not in D_y.  A label has counts (|D|, |E|, |W|) =
+    """|D_x| without enumerating it, by counting the three classes of
+    ``build_D``'s rule per subterm.  A label has counts (|D|, |E|, |W|) =
     (1, 1, 2) and I has (0, 1, 1).
     """
     return _class_count(x, lambda _: (1, 1, 2))

@@ -1,12 +1,13 @@
 """Shared test helpers: seeded random type generation and the reference
 oracles the exact core is checked against.  The oracles are the
-paper-literal derivations: the arrow-only word-set recursion, the
-traceless set and its complement, word-set intersection and inclusion,
-word-set contraction, contraction decided by the equivalent type
-inclusion, full signalling as the admissibility of the reversed
-contraction on the dual, a dense product-basis builder, the per-word
-basis dimension, the enumerated critical-set intersection, and the
-sampler and witness as plain dense loops."""
+paper-literal derivations: the arrow-only word-set recursion, the full
+and traceless sets and their complements, the all-ones word, word-set
+union, intersection and inclusion, word-set contraction, contraction
+decided by the equivalent type inclusion, full signalling as the
+admissibility of the reversed contraction on the dual, a dense
+product-basis builder, the per-word basis dimension, the enumerated
+critical-set intersection, and the sampler and witness as plain dense
+loops."""
 
 from __future__ import annotations
 
@@ -41,15 +42,7 @@ from hotypes import (
 from hotypes.admissibility import _orient_pairs, _resolve_pairs
 from hotypes.oracle import _to_matrix
 from hotypes.signalling import _resolve_pair
-from hotypes.strings import (
-    _critical_word,
-    all_ones,
-    canonical_universe,
-    complement_perp,
-    concat,
-    critical_set_multi,
-    full_set,
-)
+from hotypes.strings import _critical_word, _universe, canonical_universe, concat, critical_set_multi
 from hotypes.type_core import _flat_tree
 
 hypothesis.settings.register_profile(
@@ -137,9 +130,34 @@ def reference_D(x: TypeExpr) -> WordSet:
     if isinstance(x, Elementary):
         return WordSet((x.label,), frozenset({0}))
     left, right = reference_D(x.left), reference_D(x.right)
-    return concat(full_set(left.universe), right).union(
-        concat(complement_bar(left), complement_perp(right))
+    return word_union(
+        concat(full_set(left.universe), right), concat(complement_bar(left), complement_perp(right))
     )
+
+
+def full_set(universe: Iterable[Label]) -> WordSet:
+    """W: every word over the universe, which keeps the given order and is
+    checked as every word-set universe is (duplicates, the 63-label cap).
+    Over the empty universe this is the singleton holding the null string."""
+    ordered = _universe(universe)
+    return WordSet(ordered, frozenset(range(1 << len(ordered))))
+
+
+def all_ones(universe: Iterable[Label]) -> BitWord:
+    """e: the all-ones word."""
+    ordered = _universe(universe)
+    return BitWord(ordered, (1 << len(ordered)) - 1)
+
+
+def complement_perp(j: WordSet) -> WordSet:
+    """W \\ J."""
+    return WordSet(j.universe, full_set(j.universe).masks - j.masks)
+
+
+def word_union(s: WordSet, t: WordSet) -> WordSet:
+    """The words of s or t, over the labels of s; t may order the same
+    labels differently."""
+    return WordSet(s.universe, s.masks | s._aligned(t.universe, t.masks))
 
 
 def word_intersection(s: WordSet, t: WordSet) -> WordSet:

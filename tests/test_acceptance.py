@@ -33,17 +33,17 @@ from hotypes import (
     violation_witness,
 )
 from hotypes.oracle import is_channel, membership_defects
-from hotypes.strings import (
-    WordSet,
-    all_ones,
-    canonical_universe,
-    concat,
-    critical_set_multi,
-    full_set,
-)
+from hotypes.strings import WordSet, canonical_universe, concat, critical_set_multi
 from hotypes.type_core import Arrow, Elementary, Label, TRIVIAL, Trivial
 
-from conftest import random_type, random_type_with_io, traceless_set, word_is_subset
+from conftest import (
+    all_ones,
+    full_set,
+    random_type,
+    random_type_with_io,
+    traceless_set,
+    word_is_subset,
+)
 
 ALGEBRA_TOL = 1e-12
 RESIDUAL_TOL = 1e-9

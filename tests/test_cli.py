@@ -8,6 +8,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import hotypes.oracle
 from hotypes.cli import main
 
@@ -82,6 +84,19 @@ class TestAnalyze:
         code, report = run_json(capsys, "analyze", effect)
         assert code == 0
         assert (report["word_count"], report["words"]) == (0, [])
+
+    def test_one_word_beside_a_large_effect_per_process(self):
+        states = [f"A{i}" for i in range(20)]
+        result = subprocess.run(
+            [sys.executable, "-m", "hotypes.cli", "--json", "analyze", f"(~({'*'.join(states)}))*C"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        report = json.loads(result.stdout)
+        assert report["word_count"] == 1
+        assert report["words"] == ["".join(f"1_{a}" for a in sorted(states)) + "0_C"]
+        assert report["timing_ms"] < 500
 
     def test_too_many_labels_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "*".join(f"A{i}" for i in range(64)))
@@ -286,6 +301,21 @@ class TestOracleVerify:
         assert code == 2
         assert out == ""
         assert "dense operators need" in err and "bytes" in err
+
+    @pytest.mark.parametrize(
+        "option, value, reason",
+        [
+            ("--tol", "-1", "tol must be finite and positive"),
+            ("--tol", "0", "tol must be finite and positive"),
+            ("--tol", "nan", "tol must be finite and positive"),
+            ("--tol", "inf", "tol must be finite and positive"),
+            ("--trials", "-1", "trials must be at least 0"),
+        ],
+    )
+    def test_bad_tolerance_or_trials_is_usage_error(self, capsys, option, value, reason):
+        code, out, err = run_cli(capsys, "oracle", "verify", "(A->B)*(C->D)", option, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and reason in err
 
     def test_eight_qubits_pass_the_three_way_check(self, capsys):
         code, out, err = run_cli(

@@ -29,6 +29,7 @@ from hotypes import (
     parse_type,
     phi_operator,
     sample_deterministic,
+    verify,
     violation_witness,
 )
 from hotypes.oracle import (
@@ -587,3 +588,14 @@ class TestOperatorUtilities:
         assert lines[0] == "2"
         assert len(lines) == 3
         assert lines[1].split() == ["1", "0", "0", "0"]
+
+
+class TestVerifyArguments:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            verify(parse_type("(A->B)*(C->D)"), trials=1, tol=tol)
+
+    def test_trials_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="trials must be at least 0"):
+            verify(parse_type("(A->B)*(C->D)"), trials=-1)

@@ -7,9 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hotypes.oracle
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load_crossvalidate():
+    spec = importlib.util.spec_from_file_location("crossvalidate", SCRIPTS / "crossvalidate.py")
+    crossvalidate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(crossvalidate)
+    return crossvalidate
 
 
 def test_worked_example_runs_clean():
@@ -62,9 +71,7 @@ def test_crossvalidate_reaches_eight_qubits():
 
 
 def test_crossvalidate_refusal_is_a_usage_error(capsys, monkeypatch):
-    spec = importlib.util.spec_from_file_location("crossvalidate", SCRIPTS / "crossvalidate.py")
-    crossvalidate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(crossvalidate)
+    crossvalidate = _load_crossvalidate()
     monkeypatch.setattr(hotypes.oracle, "BASIS_BYTES", 1)
     code = crossvalidate.main(["--types", "2", "--trials", "1"])
     captured = capsys.readouterr()
@@ -72,3 +79,16 @@ def test_crossvalidate_refusal_is_a_usage_error(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "bytes, over the budget of 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--trials", "-1")],
+)
+def test_crossvalidate_bad_tolerance_or_trials_is_a_usage_error(capsys, option, value):
+    crossvalidate = _load_crossvalidate()
+    code = crossvalidate.main(["--types", "1", option, value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and option[2:] in captured.err

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hotypes.strings
 from hotypes import (
     TRIVIAL,
     Arrow,
@@ -24,18 +26,19 @@ from hotypes import (
 )
 from hotypes.strings import (
     UniverseTooLargeError,
-    all_ones,
+    _rest,
     canonical_universe,
-    complement_perp,
     concat,
     critical_set_multi,
-    full_set,
     word_count,
 )
 
 from conftest import (
+    all_ones,
     complement_bar,
+    complement_perp,
     contract_set,
+    full_set,
     random_type,
     random_type_with_io,
     reference_D,
@@ -289,6 +292,65 @@ class TestTensorClosedForm:
                 names = [a.name for a in io_partition(x).elementary]
                 x = _renamed(x, dict(zip(names, rng.sample(names, len(names)))))
             assert build_D(x) == reference_D(x)
+
+
+class TestThreeClassRule:
+    """build_D splits the words of every subterm into D, the all-ones word
+    and the rest R, and builds only what its caller needs."""
+
+    def _types(self, seed: int, count: int):
+        rng = random.Random(seed)
+        for n in range(count):
+            x = _tensor_type(rng) if n % 2 else random_type(rng, max_systems=7, dims=(2, 3))
+            if n % 3 == 0:
+                names = [a.name for a in io_partition(x).elementary]
+                x = _renamed(x, dict(zip(names, rng.sample(names, len(names)))))
+            yield bar(x) if n % 5 == 0 else x
+
+    def test_rest_is_the_traceless_complement_of_D(self):
+        for x in self._types(53, 1200):
+            assert _rest(x) == complement_bar(reference_D(x))
+
+    @pytest.fixture
+    def built_sizes(self, monkeypatch):
+        """The size of every word set made while the test runs.  The cache
+        is cleared afterwards, since the sets it then holds are recorders."""
+        sizes: list[int] = []
+
+        class Recording(WordSet):
+            def __init__(self, universe, masks=frozenset()):
+                super().__init__(universe, masks)
+                sizes.append(len(masks))
+
+        monkeypatch.setattr(hotypes.strings, "WordSet", Recording)
+        yield sizes
+        build_D.cache_clear()
+
+    def _largest_built(self, x, sizes: list[int]) -> tuple[int, int]:
+        """The largest set a cold build_D(x) makes, and |D_x|."""
+        build_D.cache_clear()
+        sizes.clear()
+        d = build_D(x)
+        return max(sizes), len(d)
+
+    def test_no_set_is_larger_than_the_result(self, built_sizes):
+        for x in self._types(59, 2000):
+            largest, size = self._largest_built(x, built_sizes)
+            assert largest <= size, x
+
+    def test_no_set_is_larger_than_the_result_on_families(self, built_sizes):
+        states = "*".join(f"A{i}" for i in range(20))
+        chain = [f"A{i}" for i in range(16)]
+        families = [
+            f"~({states})",
+            f"(~({states}))*C",
+            reduce(lambda left, part: f"({left})->{part}", chain),
+            reduce(lambda right, part: f"{part}->({right})", reversed(chain)),
+            "*".join(f"(A{i}->B{i})" for i in range(10)),
+        ]
+        for text in families:
+            largest, size = self._largest_built(parse_type(text), built_sizes)
+            assert largest <= size, text
 
 
 def _tensor_type(rng: random.Random, max_systems: int = 7):
