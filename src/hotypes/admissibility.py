@@ -225,12 +225,13 @@ def check_composition(x: TypeExpr, y: TypeExpr) -> Verdict:
     """Is connecting x and y along their shared labels always meaningful?
 
     Reduces to a contraction check on the tensor of the two types, with
-    the shared labels of y renamed apart first.  No shared labels means a
-    plain tensor, which is always admissible.
+    the shared labels of y renamed apart first: each shared label pairs
+    with its renamed copy, so a label both types read or both write is
+    rejected as an input-input or output-output pair.  No shared labels
+    means a plain tensor, which is always admissible.
     """
-    tx, ty = _flat_tree(x), _flat_tree(y)
-    dims_x = {a.name: a.dimension for a in tx.labels}
-    dims_y = {a.name: a.dimension for a in ty.labels}
+    dims_x = {a.name: a.dimension for a in _flat_tree(x).labels}
+    dims_y = {a.name: a.dimension for a in _flat_tree(y).labels}
     shared = sorted(set(dims_x) & set(dims_y))
     for name in shared:
         if dims_x[name] != dims_y[name]:
@@ -238,29 +239,7 @@ def check_composition(x: TypeExpr, y: TypeExpr) -> Verdict:
                 f"shared label {name!r} has dimension {dims_x[name]} in one type "
                 f"and {dims_y[name]} in the other"
             )
-    inputs_x = {a.name for a in tx.inputs()}
-    inputs_y = {a.name for a in ty.inputs()}
-    result_in = tuple(a for a in tx.inputs() + ty.inputs() if a.name not in shared)
-    result_out = tuple(a for a in tx.outputs() + ty.outputs() if a.name not in shared)
-    if not shared:
-        return Verdict(True, Reason.OK, result_in=result_in, result_out=result_out)
-
-    for name in shared:
-        if name in inputs_x and name in inputs_y:
-            return Verdict(False, Reason.INPUT_INPUT)
-        if name not in inputs_x and name not in inputs_y:
-            return Verdict(False, Reason.OUTPUT_OUTPUT)
-
     taken = set(dims_x) | set(dims_y)
     renaming = {name: _prime(name, taken) for name in shared}
-    y_primed = _rename_labels(y, renaming)
-    pairs = []
-    for name in shared:
-        original = Label(name, dims_x[name])
-        primed = Label(renaming[name], dims_y[name])
-        # orient (input, output): the input side is whichever copy feeds in
-        pairs.append((original, primed) if name in inputs_x else (primed, original))
-    verdict = check_contraction(tensor(x, y_primed), ContractionSpec.of(pairs))
-    if not verdict.admissible:
-        return verdict
-    return Verdict(True, Reason.OK, result_in=result_in, result_out=result_out)
+    pairs = [(Label(name, dims_x[name]), Label(renaming[name], dims_y[name])) for name in shared]
+    return check_contraction(tensor(x, _rename_labels(y, renaming)), ContractionSpec.of(pairs))

@@ -5,6 +5,9 @@ canonical (sorted) label order.  Everything here is exact linear algebra
 at desk scale: seeded sampling of deterministic maps on product-basis
 coefficients, where a word subspace is a mask, the link product, and the
 channel and no-signalling tests used to validate combinatorial verdicts.
+Partial trace, link product, numeric contraction and the identity
+padding of the no-signalling test are one label-keyed contraction,
+``_contract``, that ties the ket and bra axes of matching labels.
 """
 
 from __future__ import annotations
@@ -74,57 +77,38 @@ def identity_operator(labels: Iterable[Label]) -> OperatorMatrix:
     return OperatorMatrix(ordered, np.eye(_side(ordered), dtype=complex))
 
 
-def _names(labels: Iterable[Label | str]) -> set[str]:
-    return {a.name if isinstance(a, Label) else a for a in labels}
+def _contract(
+    out_labels: tuple[Label, ...],
+    *ops: OperatorMatrix,
+    alias: dict[tuple[str, str], tuple[str, str]] | None = None,
+) -> OperatorMatrix:
+    """The one einsum of the oracle: every (label name, "ket"/"bra") axis
+    gets one index, shared by each operand that names it, so axes of one
+    name are tied and summed unless ``out_labels`` keeps them.  ``alias``
+    maps an axis onto another, tying the two.  Indices are numbered in
+    order of first appearance, kets before bras within each operand;
+    einsum's integer ids must stay below 52."""
+    alias = alias or {}
+    ids: dict[tuple[str, str], int] = {}
+
+    def subs(labels: Sequence[Label]) -> list[int]:
+        axes = [(a.name, side) for side in ("ket", "bra") for a in labels]
+        return [ids.setdefault(alias.get(axis, axis), len(ids)) for axis in axes]
+
+    operands = [arg for op in ops for arg in (op.tensor_view(), subs(op.labels))]
+    result = np.einsum(*operands, subs(out_labels))
+    side = _side(out_labels)
+    return OperatorMatrix(out_labels, result.reshape(side, side))
 
 
 def partial_trace(op: OperatorMatrix, drop: Iterable[Label | str]) -> OperatorMatrix:
     """Trace out the listed labels; the rest keep canonical order."""
-    names = _names(drop)
+    names = {a.name if isinstance(a, Label) else a for a in drop}
     unknown = names - {a.name for a in op.labels}
     if unknown:
         raise ValueError(f"labels {sorted(unknown)} not present")
     keep = tuple(a for a in op.labels if a.name not in names)
-    n = len(op.labels)
-    # dropped labels share one id between ket and bra (trace); kept labels
-    # get separate ids (einsum integer ids must stay below 52)
-    ket_ids = list(range(n))
-    bra_ids = [i if op.labels[i].name in names else n + i for i in range(n)]
-    subs = ket_ids + bra_ids
-    out_subs = [i for i in ket_ids if op.labels[i].name not in names] + [
-        n + i for i in range(n) if op.labels[i].name not in names
-    ]
-    reduced = np.einsum(op.tensor_view(), subs, out_subs)
-    side = _side(keep)
-    return OperatorMatrix(keep, reduced.reshape(side, side))
-
-
-def partial_transpose(op: OperatorMatrix, labels: Iterable[Label | str]) -> OperatorMatrix:
-    """Transpose the ket/bra axes of the listed labels."""
-    names = _names(labels)
-    n = len(op.labels)
-    t = op.tensor_view()
-    axes = list(range(2 * n))
-    for i, a in enumerate(op.labels):
-        if a.name in names:
-            axes[i], axes[n + i] = axes[n + i], axes[i]
-    return OperatorMatrix(op.labels, t.transpose(axes).reshape(op.side, op.side))
-
-
-def _insert_identity(op: OperatorMatrix, label: Label, scale: float = 1.0) -> OperatorMatrix:
-    """Tensor an identity factor on ``label`` into canonical position."""
-    out_labels = canonical_universe(op.labels + (label,))
-    pos = out_labels.index(label)
-    n = len(op.labels)
-    op_subs = list(range(n)) + list(range(n, 2 * n))
-    eye_subs = [2 * n, 2 * n + 1]
-    kets = list(range(n))
-    bras = list(range(n, 2 * n))
-    kets.insert(pos, 2 * n)
-    bras.insert(pos, 2 * n + 1)
-    tensor = np.einsum(op.tensor_view(), op_subs, np.eye(label.dimension), eye_subs, kets + bras)
-    side = _side(out_labels)
-    return OperatorMatrix(out_labels, scale * tensor.reshape(side, side))
+    return _contract(keep, op, alias={(name, "bra"): (name, "ket") for name in names})
 
 
 # --- the link product ---------------------------------------------------------
@@ -134,6 +118,8 @@ def link_product(r: OperatorMatrix, s: OperatorMatrix) -> OperatorMatrix:
 
     Partial transpose on the shared systems, multiply, and trace them out;
     with no shared labels this is the tensor product in canonical order.
+    Tying ket with ket and bra with bra across the two operators is that
+    composite in one contraction.
     """
     shared = {a.name for a in r.labels} & {a.name for a in s.labels}
     dims_r = {a.name: a.dimension for a in r.labels}
@@ -145,25 +131,7 @@ def link_product(r: OperatorMatrix, s: OperatorMatrix) -> OperatorMatrix:
         tuple(a for a in r.labels if a.name not in shared)
         + tuple(a for a in s.labels if a.name not in shared)
     )
-    # Contracting ket with ket and bra with bra across the two operators is
-    # the transpose-multiply-trace composite in one step.
-    ids: dict[tuple[str, str], int] = {}
-    counter = 0
-
-    def sub(name: str, side: str) -> int:
-        nonlocal counter
-        key = (name, side)
-        if key not in ids:
-            ids[key] = counter
-            counter += 1
-        return ids[key]
-
-    r_subs = [sub(a.name, "ket") for a in r.labels] + [sub(a.name, "bra") for a in r.labels]
-    s_subs = [sub(a.name, "ket") for a in s.labels] + [sub(a.name, "bra") for a in s.labels]
-    out_subs = [sub(a.name, "ket") for a in out_labels] + [sub(a.name, "bra") for a in out_labels]
-    result = np.einsum(r.tensor_view(), r_subs, s.tensor_view(), s_subs, out_subs)
-    side = _side(out_labels)
-    return OperatorMatrix(out_labels, result.reshape(side, side))
+    return _contract(out_labels, r, s)
 
 
 def phi_operator(a: Label, b: Label) -> OperatorMatrix:
@@ -180,10 +148,16 @@ def phi_operator(a: Label, b: Label) -> OperatorMatrix:
 
 
 def numeric_contraction(op: OperatorMatrix, a: Label | str, b: Label | str) -> OperatorMatrix:
-    """Close the loop from output b into input a: link with the entangled
-    pair operator on (a, b)."""
+    """Close the loop from output b into input a: the link product with
+    the entangled pair operator on (a, b), taken as one contraction that
+    ties b's ket and bra to a's."""
     la, lb = _as_label_tuple(op.labels, [a, b])
-    return link_product(op, phi_operator(la, lb))
+    if la.name == lb.name:
+        raise ValueError(f"cannot contract label {la.name!r} with itself")
+    if la.dimension != lb.dimension:
+        raise ValueError(f"{la.name} and {lb.name} must have equal dimensions")
+    keep = tuple(c for c in op.labels if c.name not in (la.name, lb.name))
+    return _contract(keep, op, alias={(lb.name, side): (la.name, side) for side in ("ket", "bra")})
 
 
 # --- operator bases -----------------------------------------------------------
@@ -368,10 +342,13 @@ def _as_label_tuple(known: Iterable[Label], labels: Iterable[Label | str]) -> tu
 def channel_defects(
     op: OperatorMatrix, in_labels: Iterable[Label | str], out_labels: Iterable[Label | str]
 ) -> tuple[float, float]:
-    """(negativity, marginal deviation) for reading op as a channel."""
+    """(negativity, marginal deviation) for reading op as a channel; the
+    in and out labels must split the operator's labels into two disjoint
+    parts."""
     ins = _as_label_tuple(op.labels, in_labels)
     outs = _as_label_tuple(op.labels, out_labels)
-    if {a.name for a in ins} | {a.name for a in outs} != {a.name for a in op.labels}:
+    in_names, out_names = {a.name for a in ins}, {a.name for a in outs}
+    if in_names & out_names or in_names | out_names != {a.name for a in op.labels}:
         raise ValueError("in/out labels must partition the operator's labels")
     negativity = max(0.0, -op.min_eigenvalue())
     marginal = partial_trace(op, outs)
@@ -412,7 +389,7 @@ def nosignalling_defect(
         raise ValueError("a must be an input label and b an output label")
     reduced = partial_trace(op, [o for o in outs if o.name != lb.name])
     rest = partial_trace(reduced, [la])
-    target = _insert_identity(rest, la, scale=1.0 / la.dimension)
+    target = link_product(rest, OperatorMatrix((la,), np.eye(la.dimension) / la.dimension))
     return float(np.linalg.norm(reduced.data - target.data, 2))
 
 

@@ -31,7 +31,6 @@ from .type_core import (
     _distinct_labels,
     _flat_tree,
     _fold,
-    io_partition,
 )
 
 MAX_UNIVERSE = 63
@@ -342,14 +341,6 @@ def _critical_word(tree: _FlatTree, pairs: Sequence[tuple[Label, Label]]) -> Bit
 
 # --- critical sets -----------------------------------------------------------
 
-def _resolve(x_labels: Iterable[Label], label: Label | str) -> Label:
-    name = label.name if isinstance(label, Label) else label
-    for a in x_labels:
-        if a.name == name:
-            return a
-    raise ValueError(f"label {name!r} does not occur in the type")
-
-
 def critical_set_multi(
     x: TypeExpr, pairs: Sequence[tuple[Label | str, Label | str]]
 ) -> WordSet:
@@ -358,39 +349,33 @@ def critical_set_multi(
     Members carry equal bits on the two labels of each pair (not all pairs
     one), ones on the untouched outputs, anything on the untouched inputs.
     """
-    analysis = io_partition(x)
-    universe = _universe(analysis.elementary)
-    resolved: list[tuple[Label, Label]] = []
-    used: set[str] = set()
+    tree = _flat_tree(x)
+    universe = _universe(tree.labels)
+    resolved: list[tuple[int, int]] = []  # textual positions, i.e. bits
+    used: set[int] = set()
     for a, b in pairs:
-        la = _resolve(analysis.elementary, a)
-        lb = _resolve(analysis.elementary, b)
-        if la not in analysis.inputs:
-            raise ValueError(f"{la.name} is not an input system")
-        if lb not in analysis.outputs:
-            raise ValueError(f"{lb.name} is not an output system")
-        if la.name in used or lb.name in used:
+        i, j = tree.position(a), tree.position(b)
+        if not tree.k[i]:
+            raise ValueError(f"{universe[i].name} is not an input system")
+        if tree.k[j]:
+            raise ValueError(f"{universe[j].name} is not an output system")
+        if i in used or j in used:
             raise ValueError("contraction pairs overlap")
-        used.update((la.name, lb.name))
-        resolved.append((la, lb))
+        used.update((i, j))
+        resolved.append((i, j))
     if not resolved:
         raise ValueError("at least one contraction pair is required")
 
-    position = {lbl.name: i for i, lbl in enumerate(universe)}
-    free_inputs = [position[a.name] for a in analysis.inputs if a.name not in used]
-    fixed_outputs = [position[b.name] for b in analysis.outputs if b.name not in used]
-    base = 0
-    for p in fixed_outputs:
-        base |= 1 << p
-
+    free_inputs = [p for p, k in enumerate(tree.k) if k and p not in used]
+    base = sum(1 << p for p, k in enumerate(tree.k) if not k and p not in used)
     masks = set()
     for pair_bits in product((0, 1), repeat=len(resolved)):
         if all(pair_bits):
             continue  # all-ones on the contracted block never meets D_x
         pattern = base
-        for (la, lb), bit in zip(resolved, pair_bits):
+        for (i, j), bit in zip(resolved, pair_bits):
             if bit:
-                pattern |= (1 << position[la.name]) | (1 << position[lb.name])
+                pattern |= (1 << i) | (1 << j)
         for free_bits in product((0, 1), repeat=len(free_inputs)):
             mask = pattern
             for p, bit in zip(free_inputs, free_bits):

@@ -3,11 +3,12 @@ oracles the exact core is checked against.  The oracles are the
 paper-literal derivations: the arrow-only word-set recursion, the full
 and traceless sets and their complements, the all-ones word, word-set
 union, intersection and inclusion, word-set contraction, contraction
-decided by the equivalent type inclusion, full signalling as the
-admissibility of the reversed contraction on the dual, a dense
-product-basis builder, the per-word basis dimension, the enumerated
-critical-set intersection, and the sampler and witness as plain dense
-loops."""
+decided by the equivalent type inclusion, composition decided with
+explicit roles, full signalling as the admissibility of the reversed
+contraction on the dual, a dense product-basis builder, the per-word
+basis dimension, the enumerated critical-set intersection, the sampler
+and witness as plain dense loops, and the partial transpose, partial
+trace and link product as textbook matrix operations."""
 
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from hotypes import (
     OperatorMatrix,
     ContractionSpec,
     Label,
+    Reason,
     TRIVIAL,
     TypeExpr,
     BitWord,
@@ -39,8 +41,8 @@ from hotypes import (
     io_partition,
     tensor,
 )
-from hotypes.admissibility import _orient_pairs, _resolve_pairs
-from hotypes.oracle import _to_matrix
+from hotypes.admissibility import _orient_pairs, _prime, _rename_labels, _resolve_pairs
+from hotypes.oracle import _side, _to_matrix
 from hotypes.signalling import _resolve_pair
 from hotypes.strings import _critical_word, _universe, canonical_universe, concat, critical_set_multi
 from hotypes.type_core import _flat_tree
@@ -262,6 +264,45 @@ def supermap_inclusion_form(x: TypeExpr, spec: ContractionSpec) -> Verdict:
     return check_inclusion(x, target)
 
 
+def reference_check_composition(x: TypeExpr, y: TypeExpr) -> Verdict:
+    """Composition decided with explicit roles: a shared label that both
+    types read (or both write) is rejected outright, in sorted-name order;
+    the rest are oriented (input, output) and checked as a contraction on
+    the tensor, with y's shared labels renamed apart."""
+    tx, ty = _flat_tree(x), _flat_tree(y)
+    dims_x = {a.name: a.dimension for a in tx.labels}
+    dims_y = {a.name: a.dimension for a in ty.labels}
+    shared = sorted(set(dims_x) & set(dims_y))
+    for name in shared:
+        if dims_x[name] != dims_y[name]:
+            raise ValueError(
+                f"shared label {name!r} has dimension {dims_x[name]} in one type "
+                f"and {dims_y[name]} in the other"
+            )
+    inputs_x = {a.name for a in tx.inputs()}
+    inputs_y = {a.name for a in ty.inputs()}
+    result_in = tuple(a for a in tx.inputs() + ty.inputs() if a.name not in shared)
+    result_out = tuple(a for a in tx.outputs() + ty.outputs() if a.name not in shared)
+    if not shared:
+        return Verdict(True, Reason.OK, result_in=result_in, result_out=result_out)
+    for name in shared:
+        if name in inputs_x and name in inputs_y:
+            return Verdict(False, Reason.INPUT_INPUT)
+        if name not in inputs_x and name not in inputs_y:
+            return Verdict(False, Reason.OUTPUT_OUTPUT)
+    taken = set(dims_x) | set(dims_y)
+    renaming = {name: _prime(name, taken) for name in shared}
+    pairs = []
+    for name in shared:
+        original = Label(name, dims_x[name])
+        primed = Label(renaming[name], dims_y[name])
+        pairs.append((original, primed) if name in inputs_x else (primed, original))
+    verdict = check_contraction(tensor(x, _rename_labels(y, renaming)), ContractionSpec.of(pairs))
+    if not verdict.admissible:
+        return verdict
+    return Verdict(True, Reason.OK, result_in=result_in, result_out=result_out)
+
+
 def full_signalling(x: TypeExpr, a: Label | str, b: Label | str) -> bool:
     """Critical-set test for full signalling from input a to output b: the
     reversed contraction on the dual type must be admissible."""
@@ -371,3 +412,54 @@ def reference_violation_witness(x: TypeExpr, a: Label, b: Label) -> OperatorMatr
         epsilon /= 2
         data = lam * np.eye(side) + epsilon * factor
     return OperatorMatrix(labels, data)
+
+
+def partial_transpose(op: OperatorMatrix, labels: Iterable[Label | str]) -> OperatorMatrix:
+    """Transpose the ket/bra axes of the listed labels."""
+    names = {a.name if isinstance(a, Label) else a for a in labels}
+    n = len(op.labels)
+    axes = list(range(2 * n))
+    for i, a in enumerate(op.labels):
+        if a.name in names:
+            axes[i], axes[n + i] = axes[n + i], axes[i]
+    return OperatorMatrix(op.labels, op.tensor_view().transpose(axes).reshape(op.side, op.side))
+
+
+def reference_partial_trace(op: OperatorMatrix, drop: Iterable[Label | str]) -> OperatorMatrix:
+    """Trace out the listed labels one at a time: ``np.trace`` over a
+    label's ket and bra axes of the reshaped (kets, bras) tensor."""
+    names = {a.name if isinstance(a, Label) else a for a in drop}
+    labels = list(op.labels)
+    t = op.tensor_view()
+    for name in sorted(names):
+        i = [a.name for a in labels].index(name)
+        t = np.trace(t, axis1=i, axis2=len(labels) + i)
+        del labels[i]
+    side = _side(labels)
+    return OperatorMatrix(tuple(labels), t.reshape(side, side))
+
+
+def _embed(op: OperatorMatrix, labels: tuple[Label, ...]) -> np.ndarray:
+    """op tensored with the identity on the labels it lacks, as a matrix
+    with its axes permuted into the order of ``labels``."""
+    names = [a.name for a in op.labels]
+    missing = [a for a in labels if a.name not in names]
+    order = names + [a.name for a in missing]
+    data = np.kron(op.data, np.eye(_side(missing)))
+    dims = [a.dimension for a in op.labels + tuple(missing)]
+    perm = [order.index(a.name) for a in labels]
+    n = len(order)
+    permuted = data.reshape(dims + dims).transpose(perm + [n + p for p in perm])
+    return permuted.reshape(data.shape)
+
+
+def reference_link_product(r: OperatorMatrix, s: OperatorMatrix) -> OperatorMatrix:
+    """The link product as written by Chiribella, D'Ariano and Perinotti:
+    Tr_shared[(r^T_shared (x) I)(I (x) s)], with both factors embedded in
+    one canonical layout over all labels before the matrix product."""
+    s_names = {a.name for a in s.labels}
+    shared = [a for a in r.labels if a.name in s_names]
+    shared_names = {a.name for a in shared}
+    union = canonical_universe(r.labels + tuple(a for a in s.labels if a.name not in shared_names))
+    product = _embed(partial_transpose(r, shared), union) @ _embed(s, union)
+    return reference_partial_trace(OperatorMatrix(union, product), shared)

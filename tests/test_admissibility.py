@@ -24,7 +24,13 @@ from hotypes import (
 )
 from hotypes.strings import UniverseTooLargeError, critical_set_multi
 
-from conftest import random_type, random_type_with_io, supermap_inclusion_form, type_exprs
+from conftest import (
+    random_type,
+    random_type_with_io,
+    reference_check_composition,
+    supermap_inclusion_form,
+    type_exprs,
+)
 
 
 def spec_for(x, *pairs: tuple[str, str]) -> ContractionSpec:
@@ -280,6 +286,27 @@ class TestCheckComposition:
             if one.admissible:
                 assert set(one.result_in) == set(two.result_in)
                 assert set(one.result_out) == set(two.result_out)
+
+    def test_matches_the_explicit_role_route(self):
+        # both routes share label names from one pool, so most pairs share
+        # labels; mixed dimensions also give mismatches, refused alike
+        rng = random.Random(73)
+        outcomes = set()
+        for count in range(2400):
+            dims = [(2,), (3,), (2, 3)][count % 3]
+            x = random_type(rng, max_systems=4, dims=dims)
+            y = random_type(rng, max_systems=4, dims=dims)
+            try:
+                expected = reference_check_composition(x, y).to_json()
+            except ValueError as exc:
+                with pytest.raises(ValueError) as caught:
+                    check_composition(x, y)
+                assert str(caught.value) == str(exc)
+                outcomes.add("mismatch")
+                continue
+            assert check_composition(x, y).to_json() == expected
+            outcomes.add(expected["reason"])
+        assert outcomes == {"ok", "input-input", "output-output", "critical-set-hit", "mismatch"}
 
     def test_matches_contraction_on_the_tensor(self):
         x = parse_type("E->F")

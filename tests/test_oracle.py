@@ -40,16 +40,19 @@ from hotypes.oracle import (
     identity_operator,
     membership_defects,
     nosignalling_defect,
+    channel_defects,
     partial_trace,
-    partial_transpose,
 )
 
 from conftest import (
     contract_set,
     dense_basis,
     enumerated_basis_dimension,
+    partial_transpose,
     random_type,
     random_type_with_io,
+    reference_link_product,
+    reference_partial_trace,
     reference_sample_deterministic,
     reference_violation_witness,
 )
@@ -301,6 +304,26 @@ class TestLinkProduct:
         with pytest.raises(ValueError):
             link_product(r, s)
 
+    def test_matches_the_textbook_reference(self):
+        # random operators on overlapping qubit and qutrit label sets, each
+        # shared label of one dimension in both
+        rng = np.random.default_rng(17)
+        names = "ABCDE"
+        for _ in range(60):
+            dims = {name: int(rng.choice([2, 3])) for name in names}
+
+            def operator(count: int) -> OperatorMatrix:
+                chosen = sorted(rng.choice(list(names), size=count, replace=False))
+                labels = tuple(Label(name, dims[name]) for name in chosen)
+                side = int(np.prod([a.dimension for a in labels]))
+                data = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+                return OperatorMatrix(labels, data)
+
+            r, s = operator(int(rng.integers(1, 4))), operator(int(rng.integers(1, 4)))
+            linked, reference = link_product(r, s), reference_link_product(r, s)
+            assert linked.labels == reference.labels
+            assert np.max(np.abs(linked.data - reference.data)) < ALGEBRA_TOL
+
 
 class TestNumericContraction:
     def test_full_contraction_of_the_entangled_pair(self):
@@ -332,12 +355,48 @@ class TestNumericContraction:
         with pytest.raises(ValueError, match="'Z'"):
             numeric_contraction(op, "Z", "A")
 
+    def test_matches_the_link_with_the_entangled_pair(self):
+        for dims in [(2,), (3,), (2, 3)]:
+            rng = random.Random(sum(dims))
+            for _ in range(15):
+                x = random_type_with_io(rng, max_systems=4, dims=dims)
+                analysis = io_partition(x)
+                sample = sample_deterministic(x, seed=rng.randint(0, 999))
+                for a in analysis.inputs_ordered():
+                    for b in analysis.outputs_ordered():
+                        if a.dimension != b.dimension:
+                            continue
+                        contracted = numeric_contraction(sample, a, b)
+                        linked = link_product(sample, phi_operator(a, b))
+                        assert contracted.labels == linked.labels
+                        assert np.max(np.abs(contracted.data - linked.data), initial=0) < ALGEBRA_TOL
+
+    def test_a_label_cannot_close_on_itself(self):
+        op = identity_operator([Label("A"), Label("B")])
+        with pytest.raises(ValueError, match="'A' with itself") as caught:
+            numeric_contraction(op, "A", "A")
+        assert not isinstance(caught.value, DuplicateLabelError)
+
+    def test_unequal_dimensions_refused(self):
+        op = identity_operator([Label("A", 2), Label("B", 3)])
+        with pytest.raises(ValueError, match="equal dimensions"):
+            numeric_contraction(op, "A", "B")
+
 
 class TestChannelAndNoSignalling:
     def test_depolarizing_style_choi(self):
         a, b = Label("A"), Label("B")
         choi = OperatorMatrix((a, b), np.eye(4, dtype=complex) / 2)
         assert is_channel(choi, [a], [b])
+
+    def test_in_and_out_labels_must_not_overlap(self):
+        sample = sample_deterministic(parse_type("(A->B)*(C->D)"), seed=0)
+        for ins, outs in [(["A", "C", "B"], ["B", "D"]), (["A", "C"], ["C", "B", "D"])]:
+            with pytest.raises(ValueError, match="must partition"):
+                channel_defects(sample, ins, outs)
+            with pytest.raises(ValueError, match="must partition"):
+                is_channel(sample, ins, outs)
+        assert is_channel(sample, ["A", "C"], ["B", "D"])
 
     def test_identity_channel_signals(self):
         a, b = Label("A"), Label("B")
@@ -574,6 +633,19 @@ class TestOperatorUtilities:
         sample = sample_deterministic(x, seed=9)
         twice = partial_transpose(partial_transpose(sample, ["A"]), ["A"])
         assert np.array_equal(twice.data, sample.data)
+
+    def test_partial_trace_matches_the_np_trace_reference(self):
+        rng = random.Random(23)
+        for dims in [(2,), (3,), (2, 3)]:
+            for _ in range(10):
+                x = random_type(rng, max_systems=4, dims=dims)
+                sample = sample_deterministic(x, seed=rng.randint(0, 999))
+                for count in range(len(sample.labels) + 1):
+                    drop = rng.sample([a.name for a in sample.labels], count)
+                    traced = partial_trace(sample, drop)
+                    reference = reference_partial_trace(sample, drop)
+                    assert traced.labels == reference.labels
+                    assert np.max(np.abs(traced.data - reference.data)) < ALGEBRA_TOL
 
     def test_hermiticity_preserved_by_operations(self):
         r = sample_deterministic(parse_type("A->B"), seed=11)
