@@ -1,7 +1,8 @@
 """Command-line front end: analyze, check, signalling, oracle verify.
 
 Exit codes: 0 for pass/admissible, 1 for an inadmissible verdict or a
-combinatorial/numeric disagreement, 2 for usage and parse errors.  JSON
+combinatorial/numeric disagreement, 2 for usage and parse errors and for
+a standard output closed before the report is written.  JSON
 reports have stable field names and row order; only timing varies run to
 run.
 """
@@ -296,7 +297,15 @@ def main(argv: list[str] | None = None) -> int:
     dims_path = args.dims or os.environ.get(DIMS_ENV_VAR)
     try:
         dims = load_dims_file(dims_path) if dims_path else {}
-        return args.func(args, dims)
+        code = args.func(args, dims)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: later flushes, including the one at
+        # interpreter exit, go to the null device instead of raising
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
     except TypeSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(exc.caret_diagram(), file=sys.stderr)

@@ -12,6 +12,7 @@ padding of the no-signalling test are one label-keyed contraction,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -20,8 +21,8 @@ import numpy as np
 
 from .admissibility import ContractionSpec, check_contraction
 from .signalling import Relation, signals
-from .strings import WordSet, _class_count, build_D, canonical_universe
-from .type_core import Label, TypeExpr, io_partition
+from .strings import BitWord, WordSet, _class_count, build_D, canonical_universe
+from .type_core import IoAnalysis, Label, TypeExpr, io_partition
 
 BASIS_BYTES = 1 << 30
 
@@ -196,20 +197,28 @@ def _gellmann_traceless(d: int) -> list[np.ndarray]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def herm_basis(d: int) -> np.ndarray:
     """Orthonormal basis of Hermitian operators on one d-dimensional factor,
     stacked as a (d², d, d) array: the normalized identity at index 0, then
-    the traceless elements."""
+    the traceless elements.  The array is cached per d and read-only."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return np.stack([np.eye(d, dtype=complex) / np.sqrt(d)] + _gellmann_traceless(d))
+    basis = np.stack([np.eye(d, dtype=complex) / np.sqrt(d)] + _gellmann_traceless(d))
+    basis.flags.writeable = False
+    return basis
 
 
 def _check_bytes(labels: Sequence[Label]) -> None:
     """Refuse when the dense operators held at once exceed ``BASIS_BYTES``.
-    Counts eight side² complex operators.  At 10 qubits ``verify`` with two
-    trials held at most 6.7 of them in numpy arrays, and grew peak RSS by
-    9.2 of them, allocator reuse included; sampling alone grew it by 7.3."""
+    Counts eight side² complex operators.  At 10 qubits (five channels)
+    ``verify`` with two trials held at most 3.7 of them in numpy arrays and
+    grew peak RSS by 5.0 of them, allocator reuse included; sampling alone
+    held 3.7 and grew it by 5.0, and a trial's residuals peaked at 3.1.  A
+    trial holds its sample, the sample's reductions to the inputs and one
+    output (at most one operator together), a chunk of contractions and
+    gaps closed at one operator, and one stack of that chunk: four
+    operators and two contractions at most, whatever the pairs."""
     size = 8 * _side(labels) ** 2 * 16
     if size > BASIS_BYTES:
         raise ValueError(f"dense operators need {size} bytes, over the budget of {BASIS_BYTES}")
@@ -286,14 +295,17 @@ def sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> 
     fill the words' blocks in word-set order, each block row-major in
     canonical label order.
 
-    The base is lambda I, so the least eigenvalue of base + D/2^j is
-    lambda + mu/2^j with mu the least eigenvalue of D, and one spectrum
-    of D says where the numeric test can first pass.  A step j with
-    lambda + mu/2^(j+1) < 0 has mu/2^j < -2 lambda, so base + D/2^j has
-    least eigenvalue below -lambda, far beyond the rounding of
-    ``eigvalsh``: it cannot pass and is halved without a test.  The test
-    starts at the first other step, so it returns the same k as testing
-    every step, in at most three spectra when mu sits off a boundary.
+    The base is lambda I, so base + D/2^j has least eigenvalue
+    lambda + mu/2^j and spectral norm at most lambda + |D|/2^j, with mu
+    and |D| the least eigenvalue and spectral norm of D: one spectrum of
+    D predicts every step.  ``eigvalsh`` is backward stable, so both its
+    least eigenvalue of base + D/2^j and the prediction lie within a
+    modest multiple of 2^-52 (lambda + |D|/2^j) of the exact value.  A
+    step whose prediction clears 0 by more than the slack
+    1e-9 (lambda + |D|/2^j) is decided without a test: below 0 it is
+    halved, above it is returned.  Only a step within the slack runs the
+    numeric test, so the result is the k of testing every step, in one
+    spectrum unless mu/2^j lands near -lambda.
     """
     analysis = io_partition(x)
     labels = canonical_universe(analysis.elementary)
@@ -310,18 +322,18 @@ def sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> 
         block[...] = draws[offset : offset + block.size].reshape(block.shape)
         offset += block.size
     deviation = _to_matrix(labels, coeffs).data
-    mu = float(np.linalg.eigvalsh(deviation)[0])
-    start = 0
-    while start < 60 and lam + mu / 2 ** (start + 1) < 0:
-        start += 1
-    # halved in place one step at a time, as the tested steps are: complex
-    # division can flip the sign of a zero at its second halving
-    for _ in range(start):
-        deviation /= 2
-    for _ in range(start, 60):
-        data = base + deviation
-        if float(np.linalg.eigvalsh(data)[0]) >= 0:
-            return OperatorMatrix(labels, data)
+    spectrum = np.linalg.eigvalsh(deviation)
+    mu, norm = float(spectrum[0]), float(max(-spectrum[0], spectrum[-1]))
+    # halved in place one step at a time, as the reference loop does:
+    # complex division can flip the sign of a zero at its second halving
+    for j in range(60):
+        least, slack = lam + mu / 2**j, 1e-9 * (lam + norm / 2**j)
+        if least > slack:
+            return OperatorMatrix(labels, base + deviation)
+        if least >= -slack:
+            data = base + deviation
+            if float(np.linalg.eigvalsh(data)[0]) >= 0:
+                return OperatorMatrix(labels, data)
         deviation /= 2
     return OperatorMatrix(labels, base + deviation)
 
@@ -339,6 +351,44 @@ def _as_label_tuple(known: Iterable[Label], labels: Iterable[Label | str]) -> tu
     return tuple(out)
 
 
+def _by_shape(matrices: Sequence[np.ndarray], reduce) -> list[float]:
+    """``reduce`` of one stack per distinct matrix shape, read back in the
+    order given.  numpy's linalg routines run LAPACK on each matrix of a
+    stack in turn, so every matrix gets the bits of its own call."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, m in enumerate(matrices):
+        groups.setdefault(m.shape, []).append(i)
+    out = [0.0] * len(matrices)
+    for indices in groups.values():
+        for i, value in zip(indices, reduce(np.stack([matrices[i] for i in indices]))):
+            out[i] = float(value)
+    return out
+
+
+def _least_eigenvalues(matrices: Sequence[np.ndarray]) -> list[float]:
+    return _by_shape(matrices, lambda stack: np.linalg.eigvalsh(stack)[:, 0])
+
+
+def _spectral_norms(matrices: Sequence[np.ndarray]) -> list[float]:
+    """``np.linalg.norm(m, 2)`` of each matrix: its largest singular value."""
+    return _by_shape(matrices, lambda stack: np.linalg.svd(stack, compute_uv=False).max(axis=-1))
+
+
+def _marginal_gap(op: OperatorMatrix, outs: Iterable[Label | str]) -> np.ndarray:
+    """Tr_outs[op] minus the identity: zero for a channel."""
+    marginal = partial_trace(op, outs)
+    return marginal.data - np.eye(marginal.side)
+
+
+def _signalling_gap(reduced: OperatorMatrix, a: Label | str) -> np.ndarray:
+    """reduced minus I_a/d_a (x) Tr_a[reduced]: zero when a does not
+    signal to what is left of the outputs."""
+    (la,) = _as_label_tuple(reduced.labels, [a])
+    rest = partial_trace(reduced, [la])
+    target = link_product(rest, OperatorMatrix((la,), np.eye(la.dimension) / la.dimension))
+    return reduced.data - target.data
+
+
 def channel_defects(
     op: OperatorMatrix, in_labels: Iterable[Label | str], out_labels: Iterable[Label | str]
 ) -> tuple[float, float]:
@@ -350,10 +400,9 @@ def channel_defects(
     in_names, out_names = {a.name for a in ins}, {a.name for a in outs}
     if in_names & out_names or in_names | out_names != {a.name for a in op.labels}:
         raise ValueError("in/out labels must partition the operator's labels")
-    negativity = max(0.0, -op.min_eigenvalue())
-    marginal = partial_trace(op, outs)
-    deviation = float(np.linalg.norm(marginal.data - np.eye(marginal.side), 2))
-    return negativity, deviation
+    (least,) = _least_eigenvalues([op.data])
+    (deviation,) = _spectral_norms([_marginal_gap(op, outs)])
+    return max(0.0, -least), deviation
 
 
 def is_channel(
@@ -388,9 +437,8 @@ def nosignalling_defect(
     if la not in ins or lb not in outs:
         raise ValueError("a must be an input label and b an output label")
     reduced = partial_trace(op, [o for o in outs if o.name != lb.name])
-    rest = partial_trace(reduced, [la])
-    target = link_product(rest, OperatorMatrix((la,), np.eye(la.dimension) / la.dimension))
-    return float(np.linalg.norm(reduced.data - target.data, 2))
+    (defect,) = _spectral_norms([_signalling_gap(reduced, la)])
+    return defect
 
 
 def is_nosignalling(
@@ -452,9 +500,15 @@ def violation_witness(x: TypeExpr, a: Label | str, b: Label | str) -> OperatorMa
         raise ValueError(f"contraction ({la.name}, {lb.name}) is admissible; nothing to violate")
     if verdict.witness is None:
         raise ValueError(f"no word-level witness for reason {verdict.reason.value!r}")
+    return _witness_map(analysis, verdict.witness)
+
+
+def _witness_map(analysis: IoAnalysis, word: BitWord) -> OperatorMatrix:
+    """lambda I plus epsilon times the diagonal product of diag(1, -1, 0, …)
+    at the word's 0 bits and identities at its 1 bits, epsilon halved from
+    lambda / 2 until the diagonal is non-negative."""
     labels = canonical_universe(analysis.elementary)
     _check_bytes(labels)
-    word = verdict.witness
     factor = np.ones(1)
     for lbl in labels:
         block = np.ones(lbl.dimension)
@@ -492,6 +546,67 @@ class VerifyReport:
         }
 
 
+# the matrices one pair's residuals are read from: the contracted map, its
+# marginal gap, and the signalling gap of the map traced down to the inputs
+# and the contracted output
+_Job = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _job(
+    contracted: OperatorMatrix, rest_out: Sequence[str], reduced: OperatorMatrix, a: Label
+) -> _Job:
+    return contracted.data, _marginal_gap(contracted, rest_out), _signalling_gap(reduced, a)
+
+
+def _stacked_defects(jobs: Sequence[_Job]) -> list[tuple[float, float, float]]:
+    least = _least_eigenvalues([contracted for contracted, _, _ in jobs])
+    norms = _spectral_norms([gap for _, *gaps in jobs for gap in gaps])
+    return [(max(0.0, -least[i]), norms[2 * i], norms[2 * i + 1]) for i in range(len(jobs))]
+
+
+def _defects(jobs: Iterable[_Job], side: int) -> list[tuple[float, float, float]]:
+    """(negativity, marginal deviation, signalling defect) of each job, as
+    ``channel_defects`` of the contracted map and ``nosignalling_defect``
+    of the whole map give them.  Jobs are drawn lazily into chunks, each
+    closed once its matrices reach the bytes of one side × side operator
+    and read with one stacked spectrum or singular-value call per matrix
+    shape."""
+    out: list[tuple[float, float, float]] = []
+    chunk: list[_Job] = []
+    size = 0
+    for job in jobs:
+        chunk.append(job)
+        size += sum(m.nbytes for m in job)
+        if size >= side * side * 16:
+            out += _stacked_defects(chunk)
+            chunk, size = [], 0
+    return out + _stacked_defects(chunk)
+
+
+def _witness_jobs(analysis: IoAnalysis, witnessed: Sequence[tuple]) -> Iterator[_Job]:
+    """The job of the witness map of each inadmissible (entry, a, b,
+    witness word); each map is built when its job is drawn."""
+    outputs = analysis.outputs_ordered()
+    for _, a, b, word in witnessed:
+        witness = _witness_map(analysis, word)
+        drop = [s for s in outputs if s.name != b.name]
+        contracted = numeric_contraction(witness, a, b)
+        yield _job(contracted, [s.name for s in drop], partial_trace(witness, drop), a)
+
+
+def _sample_jobs(
+    sample: OperatorMatrix, sampled: Sequence[tuple], outputs: Sequence[Label]
+) -> Iterator[_Job]:
+    """The job of each admissible (entry, a, b, rest outputs) on one
+    sample.  The sample is traced down to the inputs and b once per output
+    b, and every pair that contracts b reads that reduction."""
+    reduced: dict[str, OperatorMatrix] = {}
+    for _, a, b, rest_out in sampled:
+        if b.name not in reduced:
+            reduced[b.name] = partial_trace(sample, [s for s in outputs if s.name != b.name])
+        yield _job(numeric_contraction(sample, a, b), rest_out, reduced[b.name], a)
+
+
 def verify(
     x: TypeExpr,
     pairs: Iterable[tuple[Label, Label]] | None = None,
@@ -510,6 +625,12 @@ def verify(
     once for all pairs; for an inadmissible pair, the channel violation of
     the witness map.  A tolerance that is not finite and positive, or a
     negative trial count, raises ``ValueError``.
+
+    The residuals are those ``channel_defects`` and ``nosignalling_defect``
+    give pair by pair, bit for bit, at less cost: each sample is traced
+    down to the inputs and an output once for all pairs that contract
+    that output, and the least eigenvalues and spectral norms come from
+    stacked LAPACK calls (see ``_defects``).
     """
     if not 0 < tol < float("inf"):  # also refuses nan
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -527,7 +648,8 @@ def verify(
         pairs = [(a, b) for a in inputs for b in outputs if a.dimension == b.dimension]
     input_names = {a.name for a in inputs}
     entries: list[dict] = []
-    sampled: list[tuple[dict, Label, Label, list[str], list[str]]] = []
+    sampled: list[tuple[dict, Label, Label, list[str]]] = []
+    witnessed: list[tuple[dict, Label, Label, BitWord]] = []
     for a, b in pairs:
         verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
         entry = {"pair": f"{a.name}:{b.name}", "admissible": verdict.admissible,
@@ -546,23 +668,20 @@ def verify(
         elif verdict.admissible:
             entry.update(trials=trials, channel_failures=0, worst_channel_residual=0.0,
                          worst_nosignalling_residual=0.0)
-            rest_in = [s.name for s in verdict.result_in]
-            rest_out = [s.name for s in verdict.result_out]
-            sampled.append((entry, a, b, rest_in, rest_out))
+            sampled.append((entry, a, b, [s.name for s in verdict.result_out]))
         else:
-            witness = violation_witness(x, a, b)
-            rest_in = [s.name for s in inputs if s.name != a.name]
-            rest_out = [s.name for s in outputs if s.name != b.name]
-            margin = channel_violation_margin(numeric_contraction(witness, a, b), rest_in, rest_out)
-            entry.update(violation_margin=margin,
-                         witness_signalling_size=nosignalling_defect(witness, inputs, outputs, a, b))
-            if margin < 10 * tol:
-                entry["error"] = "violation margin too small"
+            witnessed.append((entry, a, b, verdict.witness))
+    side = _side(analysis.elementary)
+    witness_defects = _defects(_witness_jobs(analysis, witnessed), side)
+    for (entry, *_), (negativity, deviation, nosig) in zip(witnessed, witness_defects):
+        margin = max(negativity, deviation)
+        entry.update(violation_margin=margin, witness_signalling_size=nosig)
+        if margin < 10 * tol:
+            entry["error"] = "violation margin too small"
     for trial in range(trials if sampled else 0):
-        sample = sample_deterministic(x, seed=seed + trial)
-        for entry, a, b, rest_in, rest_out in sampled:
-            negativity, deviation = channel_defects(numeric_contraction(sample, a, b), rest_in, rest_out)
-            nosig = nosignalling_defect(sample, inputs, outputs, a, b)
+        # the sample and its contractions are freed before the next draw
+        defects = _defects(_sample_jobs(sample_deterministic(x, seed=seed + trial), sampled, outputs), side)
+        for (entry, *_), (negativity, deviation, nosig) in zip(sampled, defects):
             entry["worst_channel_residual"] = max(entry["worst_channel_residual"], negativity, deviation)
             entry["worst_nosignalling_residual"] = max(entry["worst_nosignalling_residual"], nosig)
             if not (negativity <= tol and deviation <= tol):

@@ -7,13 +7,14 @@ decided by the equivalent type inclusion, composition decided with
 explicit roles, full signalling as the admissibility of the reversed
 contraction on the dual, a dense product-basis builder, the per-word
 basis dimension, the enumerated critical-set intersection, the sampler
-and witness as plain dense loops, and the partial transpose, partial
+and witness as plain dense loops, the oracle check pair by pair, and the partial transpose, partial
 trace and link product as textbook matrix operations."""
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import hypothesis
@@ -42,8 +43,19 @@ from hotypes import (
     tensor,
 )
 from hotypes.admissibility import _orient_pairs, _prime, _rename_labels, _resolve_pairs
-from hotypes.oracle import _side, _to_matrix
-from hotypes.signalling import _resolve_pair
+from hotypes.oracle import (
+    VerifyReport,
+    _side,
+    _to_matrix,
+    basis_dimension,
+    basis_for_words,
+    channel_defects,
+    channel_violation_margin,
+    nosignalling_defect,
+    numeric_contraction,
+    violation_witness,
+)
+from hotypes.signalling import Relation, _resolve_pair, signals
 from hotypes.strings import _critical_word, _universe, canonical_universe, concat, critical_set_multi
 from hotypes.type_core import _flat_tree
 
@@ -463,3 +475,73 @@ def reference_link_product(r: OperatorMatrix, s: OperatorMatrix) -> OperatorMatr
     union = canonical_universe(r.labels + tuple(a for a in s.labels if a.name not in shared_names))
     product = _embed(partial_transpose(r, shared), union) @ _embed(s, union)
     return reference_partial_trace(OperatorMatrix(union, product), shared)
+
+
+def reference_verify(
+    x: TypeExpr,
+    pairs: Iterable[tuple[Label, Label]] | None = None,
+    trials: int = 50,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> VerifyReport:
+    """``oracle.verify`` pair by pair: one ``violation_witness`` per
+    inadmissible pair, and per trial and admissible pair one
+    ``channel_defects`` of the contracted sample and one
+    ``nosignalling_defect`` of the whole sample, each tracing its own
+    operators.  Samples come from the plain halving loop."""
+    analysis = io_partition(x)
+    inputs, outputs = analysis.inputs_ordered(), analysis.outputs_ordered()
+    lambda_ok = analysis.lam == Fraction(1, _side(outputs))
+    basis_size = len(basis_for_words(build_D(x)))
+    basis_ok = basis_size == basis_dimension(x)
+    if trials == 0:
+        pairs = []
+    elif pairs is None:
+        pairs = [(a, b) for a in inputs for b in outputs if a.dimension == b.dimension]
+    input_names = {a.name for a in inputs}
+    entries: list[dict] = []
+    sampled = []
+    for a, b in pairs:
+        verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
+        entry = {"pair": f"{a.name}:{b.name}", "admissible": verdict.admissible,
+                 "reason": verdict.reason.value}
+        entries.append(entry)
+        if verdict.witness is None and not verdict.admissible:
+            continue
+        if a.name not in input_names:
+            a, b = b, a
+        relation = signals(x, a, b).relation
+        entry["relation"] = relation.value
+        if verdict.admissible != (relation is Relation.NO_SIGNALLING):
+            entry["error"] = "signalling algorithm disagrees with critical-set verdict"
+        elif verdict.admissible:
+            entry.update(trials=trials, channel_failures=0, worst_channel_residual=0.0,
+                         worst_nosignalling_residual=0.0)
+            rest_in = [s.name for s in verdict.result_in]
+            rest_out = [s.name for s in verdict.result_out]
+            sampled.append((entry, a, b, rest_in, rest_out))
+        else:
+            witness = violation_witness(x, a, b)
+            rest_in = [s.name for s in inputs if s.name != a.name]
+            rest_out = [s.name for s in outputs if s.name != b.name]
+            margin = channel_violation_margin(numeric_contraction(witness, a, b), rest_in, rest_out)
+            entry.update(violation_margin=margin,
+                         witness_signalling_size=nosignalling_defect(witness, inputs, outputs, a, b))
+            if margin < 10 * tol:
+                entry["error"] = "violation margin too small"
+    for trial in range(trials if sampled else 0):
+        sample = reference_sample_deterministic(x, seed=seed + trial)
+        for entry, a, b, rest_in, rest_out in sampled:
+            negativity, deviation = channel_defects(numeric_contraction(sample, a, b), rest_in, rest_out)
+            nosig = nosignalling_defect(sample, inputs, outputs, a, b)
+            entry["worst_channel_residual"] = max(entry["worst_channel_residual"], negativity, deviation)
+            entry["worst_nosignalling_residual"] = max(entry["worst_nosignalling_residual"], nosig)
+            if not (negativity <= tol and deviation <= tol):
+                entry["channel_failures"] += 1
+    for entry, *_ in sampled:
+        if entry["channel_failures"]:
+            entry["error"] = "sampled contraction is not a channel"
+        elif entry["worst_nosignalling_residual"] > tol:
+            entry["error"] = "no-signalling residual above tolerance"
+    failures = int(not (lambda_ok and basis_ok)) + sum("error" in entry for entry in entries)
+    return VerifyReport(lambda_ok, basis_ok, basis_size, tuple(entries), failures)

@@ -374,6 +374,20 @@ class TestReportStability:
         assert code == 2
         assert "nests too deeply" in err
 
+    def test_closed_stdout_exits_2_without_traceback(self):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "hotypes.cli", "analyze", "A"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (2, "")
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["check"]) == 2  # missing relation subcommand
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -46,6 +47,7 @@ from hotypes.oracle import (
 
 from conftest import (
     contract_set,
+    reference_verify,
     dense_basis,
     enumerated_basis_dimension,
     partial_transpose,
@@ -548,19 +550,25 @@ def _same_bits(op: OperatorMatrix, reference: OperatorMatrix) -> bool:
     )
 
 
-class _CountingEigvalsh:
+class _CountingLapack:
+    """Counts calls of ``np.linalg.eigvalsh`` and ``np.linalg.svd``, also
+    those numpy makes internally (``np.linalg.norm(m, 2)`` runs an SVD)."""
+
     def __init__(self, monkeypatch):
-        self.calls = 0
-        original = np.linalg.eigvalsh
+        self.calls = {"eigvalsh": 0, "svd": 0}
+        for name in self.calls:
+            original = getattr(np.linalg, name)
 
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                self.calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+            for module in (np.linalg, getattr(np.linalg, "_linalg", None)):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
 
-    def take(self) -> int:
-        calls, self.calls = self.calls, 0
+    def take(self, name: str = "eigvalsh") -> int:
+        calls, self.calls[name] = self.calls[name], 0
         return calls
 
 
@@ -569,23 +577,27 @@ class TestBitExactReferences:
     conftest, byte for byte, and their spectrum budgets."""
 
     def test_samples_equal_the_halving_loop(self, monkeypatch):
-        spectra = _CountingEigvalsh(monkeypatch)
+        spectra = _CountingLapack(monkeypatch)
         smallest = np.inf  # largest entry of a magnitude-64 deviation
+        samples = total = 0
         for seed, x in enumerate(_reference_types()):
             lam = float(io_partition(x).lam)
             for magnitude in (0.25, 1.0, 4.0, 64.0):
                 reference = reference_sample_deterministic(x, seed=seed, magnitude=magnitude)
                 spectra.take()
                 sample = sample_deterministic(x, seed=seed, magnitude=magnitude)
-                assert spectra.take() <= 3
+                calls = spectra.take()
+                assert calls <= 3
+                samples, total = samples + 1, total + calls
                 assert _same_bits(sample, reference)
                 deviation = np.max(np.abs(sample.data - lam * np.eye(sample.side)))
                 if magnitude == 64.0 and deviation:
                     smallest = min(smallest, deviation)
         assert smallest < 64.0 / 2**8  # magnitude 64 forces many halvings
+        assert total <= 1.05 * samples  # one spectrum, bar a step near 0
 
     def test_witnesses_equal_the_dense_kronecker_loop(self, monkeypatch):
-        spectra = _CountingEigvalsh(monkeypatch)
+        spectra = _CountingLapack(monkeypatch)
         witnesses = 0
         for x in _reference_types():
             analysis = io_partition(x)
@@ -671,3 +683,50 @@ class TestVerifyArguments:
     def test_trials_must_not_be_negative(self):
         with pytest.raises(ValueError, match="trials must be at least 0"):
             verify(parse_type("(A->B)*(C->D)"), trials=-1)
+
+
+class TestVerifyBatching:
+    """``verify`` shares reductions across pairs and stacks its spectra,
+    with the bits of the pair-by-pair loop."""
+
+    def test_reports_equal_the_pair_by_pair_loop(self):
+        rng = random.Random(173)
+        compared = 0
+        while compared < 300:
+            dims = [(2,), (3,), (2, 3)][compared % 3]
+            x = random_type(rng, max_systems=(7, 4, 5)[compared % 3], dims=dims)
+            if hotypes.oracle._side(io_partition(x).elementary) > 128:
+                continue
+            got = json.dumps(verify(x, trials=3, seed=compared).to_json())
+            assert got == json.dumps(reference_verify(x, trials=3, seed=compared).to_json()), x
+            compared += 1
+
+    def test_lapack_calls_per_matrix_shape(self, monkeypatch):
+        x = parse_type("((A->B)*(C->D))*(E->F)")
+        lapack = _CountingLapack(monkeypatch)
+        report = verify(x, trials=2)
+        assert report.failures == 0
+        # one spectrum per sample, then per trial and for the witnesses
+        # one stacked spectrum of the contractions and two stacked SVDs
+        assert lapack.take("eigvalsh") <= 5
+        assert lapack.take("svd") <= 6
+
+    def test_stacks_close_at_one_operator(self, monkeypatch):
+        x = parse_type("(A->B)*(C->D)*(E->F)")
+        by_name = {a.name: a for a in io_partition(x).elementary}
+        pairs = [(by_name["C"], by_name["B"])] * 40
+        want = json.dumps(reference_verify(x, pairs, trials=2).to_json())
+        stacks = []
+        original = np.linalg.eigvalsh
+
+        def recorded(m):
+            if m.ndim == 3:
+                stacks.append(m.nbytes)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        assert json.dumps(verify(x, pairs, trials=2).to_json()) == want
+        # each contraction comes with gaps of 4352 bytes, so a chunk
+        # closes after 8 of the 40 and its stack stays under 64² × 16
+        assert len(stacks) == 2 * 5
+        assert max(stacks) <= 64 * 64 * 16
