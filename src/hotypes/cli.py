@@ -1,10 +1,10 @@
 """Command-line front end: analyze, check, signalling, oracle verify.
 
 Exit codes: 0 for pass/admissible, 1 for an inadmissible verdict or a
-combinatorial/numeric disagreement, 2 for usage and parse errors and for
-a standard output closed before the report is written.  JSON
-reports have stable field names and row order; only timing varies run to
-run.
+combinatorial/numeric disagreement, 2 for usage and parse errors, for a
+standard output closed before the report is written and for running out
+of memory.  JSON reports have stable field names and row order; only
+timing varies run to run.
 """
 
 from __future__ import annotations
@@ -316,6 +316,15 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: type nests too deeply", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: out of memory in {_command_name(args)}", file=sys.stderr)
+        return 2
+
+
+def _command_name(args) -> str:
+    """The command as typed, e.g. ``check inclusion`` or ``oracle verify``."""
+    sub = getattr(args, "relation", None) or getattr(args, "oracle_command", None)
+    return f"{args.command} {sub}" if sub else args.command
 
 
 if __name__ == "__main__":

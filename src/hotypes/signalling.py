@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 from .strings import _critical_word
 from .type_core import Label, TypeExpr, _flat_tree, _FlatTree, render_type
@@ -62,26 +63,39 @@ def signals(x: TypeExpr, a: Label | str, b: Label | str) -> SignallingVerdict:
     means no signalling.
     """
     tree = _flat_tree(x)
-    return _verdict(x, tree, *_resolve_pair(tree, a, b))
+    i, j = _resolve_pair(tree, a, b)
+    return _verdicts(x, tree, [i], [j])[0]
 
 
-def _verdict(x: TypeExpr, tree: _FlatTree, i: int, j: int) -> SignallingVerdict:
-    node, k = tree.enclosing(i, j)
-    relation = Relation.FULL_SIGNALLING if k == 1 else Relation.NO_SIGNALLING
-    return SignallingVerdict(tree.labels[i], tree.labels[j], relation, tree.subterm(x, node))
+# the relation indexed by K of the input inside the enclosing subterm
+_RELATION = (Relation.NO_SIGNALLING, Relation.FULL_SIGNALLING)
+
+
+def _verdicts(
+    x: TypeExpr, tree: _FlatTree, inputs: list[int], outputs: list[int]
+) -> list[SignallingVerdict]:
+    """One verdict per (input, output) pair, row by row, from one climb
+    per input (``_FlatTree.enclosing``)."""
+    labels = tree.labels
+    return [
+        SignallingVerdict(labels[i], labels[j], _RELATION[k], tree.subterm(x, node))
+        for (i, j), (node, k) in zip(product(inputs, outputs), tree.enclosing(inputs, outputs))
+    ]
 
 
 def signalling_matrix(x: TypeExpr) -> list[SignallingVerdict]:
     """One verdict per (input, output) pair, inputs then outputs in textual
-    order.  The type is walked once into a flat tree; each pair then climbs
-    from the input's leaf to the first node whose subterm holds the output."""
+    order.  The type is walked once into a flat tree; each input then
+    climbs once from its leaf towards the root, and each output gets the
+    first node on the way whose subterm holds it: O(inputs · (depth +
+    outputs)) steps in all."""
     return _rows(x, _flat_tree(x))
 
 
 def _rows(x: TypeExpr, tree: _FlatTree) -> list[SignallingVerdict]:
     inputs = [i for i, k in enumerate(tree.k) if k == 1]
     outputs = [j for j, k in enumerate(tree.k) if k == 0]
-    return [_verdict(x, tree, i, j) for i in inputs for j in outputs]
+    return _verdicts(x, tree, inputs, outputs)
 
 
 def crosscheck(x: TypeExpr) -> bool:

@@ -30,7 +30,6 @@ from .type_core import (
     _FlatTree,
     _distinct_labels,
     _flat_tree,
-    _fold,
 )
 
 MAX_UNIVERSE = 63
@@ -220,8 +219,7 @@ def _count_arrow(left, right):
 def _class_count(x: TypeExpr, leaf) -> int:
     """The D count of the three-class fold, ``leaf(label)`` giving a
     label's (D, E, W) counts; a repeated label raises."""
-    _flat_tree(x)
-    return _fold(x, leaf, (0, 1, 1), _count_arrow)[0]
+    return _flat_tree(x).fold(leaf, (0, 1, 1), _count_arrow)[0]
 
 
 def word_count(x: TypeExpr) -> int:

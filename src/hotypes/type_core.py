@@ -9,9 +9,10 @@ representation is arrows all the way down.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 TRIVIAL_NAME = "I"
 
@@ -119,27 +120,23 @@ def as_tensor(x: TypeExpr) -> tuple[TypeExpr, TypeExpr] | None:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(->|[*~()]|[A-Z][A-Za-z0-9_]*|\S)")
+# one group per token class; ``I`` followed by a name character is a name
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<symbol>->|[*~()])|(?P<I>I)(?![A-Za-z0-9_])|(?P<NAME>[A-Z][A-Za-z0-9_]*)|(?P<bad>\S))"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, lexeme, position) per token, ending with an END token; the
+    kind of a symbol is the symbol itself.  Trailing whitespace is
+    skipped, and the first character that starts no token raises."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        lexeme = m.group(1)
-        start = m.end(1) - len(lexeme)
-        if lexeme in ("->", "*", "~", "(", ")"):
-            tokens.append((lexeme, lexeme, start))
-        elif lexeme == TRIVIAL_NAME:
-            tokens.append(("I", lexeme, start))
-        elif re.fullmatch(r"[A-Z][A-Za-z0-9_]*", lexeme):
-            tokens.append(("NAME", lexeme, start))
-        else:
-            raise TypeSyntaxError(f"unexpected character {lexeme!r}", text, start)
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        lexeme = m.group(kind)
+        if kind == "bad":
+            raise TypeSyntaxError(f"unexpected character {lexeme!r}", text, m.start(kind))
+        tokens.append((lexeme if kind == "symbol" else kind, lexeme, m.start(kind)))
     tokens.append(("END", "", len(text)))
     return tokens
 
@@ -154,29 +151,26 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.kind = self.tokens[0][0]  # of the current token, read at every step
         self.system_table = system_table
 
-    @property
-    def current(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
+    def advance(self) -> None:
+        """Step past the current token, which is never END."""
         self.index += 1
-        return tok
+        self.kind = self.tokens[self.index][0]
 
     def fail(self, message: str) -> TypeSyntaxError:
-        return TypeSyntaxError(message, self.text, self.current[2])
+        return TypeSyntaxError(message, self.text, self.tokens[self.index][2])
 
     def parse(self) -> TypeExpr:
         expr = self.parse_arrow()
-        if self.current[0] != "END":
-            raise self.fail(f"unexpected {self.current[1]!r}")
+        if self.kind != "END":
+            raise self.fail(f"unexpected {self.tokens[self.index][1]!r}")
         return expr
 
     def parse_arrow(self) -> TypeExpr:
         left = self.parse_star()
-        if self.current[0] == "->":
+        if self.kind == "->":
             self.advance()
             right = self.parse_arrow()
             return Arrow(left, right)
@@ -184,23 +178,23 @@ class _Parser:
 
     def parse_star(self) -> TypeExpr:
         expr = self.parse_unary()
-        while self.current[0] == "*":
+        while self.kind == "*":
             self.advance()
             expr = tensor(expr, self.parse_unary())
         return expr
 
     def parse_unary(self) -> TypeExpr:
-        if self.current[0] == "~":
+        if self.kind == "~":
             self.advance()
             return bar(self.parse_unary())
         return self.parse_atom()
 
     def parse_atom(self) -> TypeExpr:
-        kind, lexeme, pos = self.current
+        kind, lexeme, pos = self.tokens[self.index]
         if kind == "(":
             self.advance()
             expr = self.parse_arrow()
-            if self.current[0] != ")":
+            if self.kind != ")":
                 raise self.fail("expected ')'")
             self.advance()
             return expr
@@ -315,15 +309,51 @@ class _FlatTree(NamedTuple):
         and the tree kept in its ``__dict__`` form no reference cycle."""
         return x if j == len(self.term) - 1 else self.term[j]
 
-    def enclosing(self, i: int, j: int) -> tuple[int, int]:
-        """The node of the smallest subterm holding labels i and j, and K
-        of label i inside that subterm: climb from leaf i until the node's
-        range covers leaf j; the left turns below the node are those on
-        the root path of i minus those above the node."""
-        node, target = self.leaf_node[i], self.leaf_node[j]
-        while not self.first[node] <= target <= node:
-            node = self.parent[node]
-        return node, self.k[i] ^ self.turns[node]
+    def enclosing(self, sources: Sequence[int], targets: Sequence[int]) -> list[tuple[int, int]]:
+        """For each pair (i, j) of ``sources`` × ``targets`` (textual
+        positions, targets ascending), row by row: the node of the
+        smallest subterm holding labels i and j, and K of label i inside
+        that subterm.
+
+        One climb per source: the node ranges on the way up from leaf i
+        only grow, and the leaves they cover form one run of textual
+        positions, so each target is reached by extending the run at
+        either end when a node first covers its leaf.  The left turns
+        below a node are those on the root path of i minus those above the
+        node.  A source costs O(depth + targets) steps."""
+        first, parent, turns = self.first, self.parent, self.turns
+        leaves = [self.leaf_node[j] for j in targets]
+        width = len(leaves)
+        found: list = [None] * (len(sources) * width)
+        for row, i in enumerate(sources):
+            base, node, k = row * width, self.leaf_node[i], self.k[i]
+            hi = bisect_left(leaves, node)  # targets right of the run
+            lo = hi - 1  # and left of it
+            while True:
+                cover = node, k ^ turns[node]
+                while hi < width and leaves[hi] <= node:
+                    found[base + hi] = cover
+                    hi += 1
+                while lo >= 0 and leaves[lo] >= first[node]:
+                    found[base + lo] = cover
+                    lo -= 1
+                if lo < 0 and hi == width:
+                    break
+                node = parent[node]
+        return found
+
+    def fold(self, leaf, trivial, arrow):
+        """Evaluate the type bottom-up over the post-order arrays:
+        ``leaf(label)`` at each elementary system, ``trivial`` at I, and
+        ``arrow(left, right)`` on the values of the two sides of each
+        arrow."""
+        values = [trivial] * len(self.left)
+        for label, node in zip(self.labels, self.leaf_node):
+            values[node] = leaf(label)
+        for j, (l, r) in enumerate(zip(self.left, self.right)):
+            if l != -1:
+                values[j] = arrow(values[l], values[r])
+        return values[-1]
 
 
 def _flat_tree(x: TypeExpr) -> _FlatTree:
@@ -393,8 +423,16 @@ def relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
 
     The k-th repeat of name N becomes N1, N2, ... (skipping names already
     in use).  Fresh labels keep the original dimension.  The returned map
-    sends each fresh name back to the name it replaced.
+    sends each fresh name back to the name it replaced.  When no label
+    repeats, x itself comes back with an empty map: the check is x's flat
+    tree, which stays with x for every later structural question.  Only a
+    type with a repeat is rebuilt.
     """
+    try:
+        _flat_tree(x)
+        return x, {}
+    except DuplicateLabelError:
+        pass
     in_use = {node.label.name for node in x.walk() if isinstance(node, Elementary)}
     seen: set[str] = set()
     provenance: dict[str, str] = {}
@@ -458,7 +496,9 @@ class IoAnalysis:
 def _fold(x: TypeExpr, leaf, trivial, arrow):
     """Evaluate x bottom-up without recursion: ``leaf(label)`` at each
     elementary system, ``trivial`` at I, and ``arrow(left, right)`` on the
-    values of the two sides of each arrow."""
+    values of the two sides of each arrow.  It walks the objects, so it
+    serves the rebuilders, whose types may repeat a label; everything
+    else folds over the flat tree (``_FlatTree.fold``)."""
     values: list = []
     todo: list[tuple[TypeExpr, bool]] = [(x, False)]
     while todo:
@@ -489,7 +529,7 @@ def io_partition(x: TypeExpr) -> IoAnalysis:
     by the recursion lambda_E = 1/d_E, lambda_I = 1,
     lambda_{x->y} = lambda_y / (d_x lambda_x)."""
     tree = _flat_tree(x)
-    num, den, _ = _fold(x, lambda a: (1, a.dimension, a.dimension), (1, 1, 1), _lambda_arrow)
+    num, den, _ = tree.fold(lambda a: (1, a.dimension, a.dimension), (1, 1, 1), _lambda_arrow)
     return IoAnalysis(
         tree.labels,
         frozenset(tree.inputs()),
@@ -509,5 +549,5 @@ def minimal_enclosing(x: TypeExpr, a: Label | str, b: Label | str) -> TypeExpr:
     duplicate label raises ``DuplicateLabelError``.
     """
     tree = _flat_tree(x)
-    node, _ = tree.enclosing(tree.position(a), tree.position(b))
+    [(node, _)] = tree.enclosing([tree.position(a)], [tree.position(b)])
     return tree.subterm(x, node)

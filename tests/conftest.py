@@ -7,13 +7,16 @@ decided by the equivalent type inclusion, composition decided with
 explicit roles, full signalling as the admissibility of the reversed
 contraction on the dual, a dense product-basis builder, the per-word
 basis dimension, the enumerated critical-set intersection, the sampler
-and witness as plain dense loops, the oracle check pair by pair, and the partial transpose, partial
-trace and link product as textbook matrix operations."""
+and witness as plain dense loops, the oracle check pair by pair, the
+partial transpose, partial trace and link product as textbook matrix
+operations, the tokenizer as a match loop that re-checks every name, and
+the signalling matrix as one climb per pair."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -55,9 +58,9 @@ from hotypes.oracle import (
     numeric_contraction,
     violation_witness,
 )
-from hotypes.signalling import Relation, _resolve_pair, signals
+from hotypes.signalling import Relation, SignallingVerdict, _resolve_pair, signals
 from hotypes.strings import _critical_word, _universe, canonical_universe, concat, critical_set_multi
-from hotypes.type_core import _flat_tree
+from hotypes.type_core import TypeSyntaxError, _flat_tree
 
 hypothesis.settings.register_profile(
     "hotypes", deadline=None, max_examples=60, derandomize=True
@@ -545,3 +548,49 @@ def reference_verify(
             entry["error"] = "no-signalling residual above tolerance"
     failures = int(not (lambda_ok and basis_ok)) + sum("error" in entry for entry in entries)
     return VerifyReport(lambda_ok, basis_ok, basis_size, tuple(entries), failures)
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(->|[*~()]|[A-Z][A-Za-z0-9_]*|\S)")
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokenizer as a match loop: one lexeme per match, sorted into its
+    kind afterwards, with a second full match for a name."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            break
+        lexeme = m.group(1)
+        start = m.end(1) - len(lexeme)
+        if lexeme in ("->", "*", "~", "(", ")"):
+            tokens.append((lexeme, lexeme, start))
+        elif lexeme == "I":
+            tokens.append(("I", lexeme, start))
+        elif re.fullmatch(r"[A-Z][A-Za-z0-9_]*", lexeme):
+            tokens.append(("NAME", lexeme, start))
+        else:
+            raise TypeSyntaxError(f"unexpected character {lexeme!r}", text, start)
+        pos = m.end()
+    tokens.append(("END", "", len(text)))
+    return tokens
+
+
+def reference_rows(x: TypeExpr) -> list[SignallingVerdict]:
+    """The signalling matrix pair by pair: for each (input, output), climb
+    from the input's leaf until the node's range holds the output's leaf."""
+    tree = _flat_tree(x)
+    rows = []
+    for i, k_i in enumerate(tree.k):
+        for j, k_j in enumerate(tree.k):
+            if k_i != 1 or k_j != 0:
+                continue
+            node, target = tree.leaf_node[i], tree.leaf_node[j]
+            while not tree.first[node] <= target <= node:
+                node = tree.parent[node]
+            inside = k_i ^ tree.turns[node]
+            relation = Relation.FULL_SIGNALLING if inside == 1 else Relation.NO_SIGNALLING
+            enclosing = tree.subterm(x, node)
+            rows.append(SignallingVerdict(tree.labels[i], tree.labels[j], relation, enclosing))
+    return rows

@@ -388,6 +388,23 @@ class TestReportStability:
             os.close(write)
         assert (result.returncode, result.stderr) == (2, "")
 
+    @pytest.mark.parametrize(
+        "command,stage,argv",
+        [
+            ("analyze", "word_count", ["analyze", "A->B"]),
+            ("check inclusion", "check_inclusion", ["check", "inclusion", "A->B", "A->B"]),
+            ("signalling", "signalling_matrix", ["signalling", "A->B"]),
+            ("oracle verify", "verify", ["oracle", "verify", "A->B"]),
+        ],
+    )
+    def test_out_of_memory_exits_2_without_traceback(self, capsys, monkeypatch, command, stage, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(f"hotypes.cli.{stage}", exhausted)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: out of memory in {command}\n")
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["check"]) == 2  # missing relation subcommand
 

@@ -25,7 +25,29 @@ from hotypes import (
     signals,
     tensor,
 )
-from conftest import full_signalling, random_type, random_type_with_io, type_exprs
+from hotypes import signalling, type_core
+from hotypes.type_core import _flat_tree
+
+from conftest import full_signalling, random_type, random_type_with_io, reference_rows, type_exprs
+
+
+def _chain(n: int, nest) -> str:
+    """Labels S0 … S(n-1) as the left-nested chain ((S0->S1)->S2)->… or
+    the right-nested chain S0->(S1->(S2->…))."""
+    names = [f"S{i}" for i in range(n)]
+    if nest == "left":
+        text = names[0]
+        for name in names[1:]:
+            text = f"({text}->{name})"
+    else:
+        text = names[-1]
+        for name in reversed(names[:-1]):
+            text = f"({name}->{text})"
+    return text
+
+
+def _row_keys(rows) -> list[tuple]:
+    return [(r.source, r.target, r.relation, id(r.enclosing)) for r in rows]
 
 
 class TestSignals:
@@ -130,6 +152,72 @@ class TestSignallingMatrix:
                 for a in analysis.inputs_ordered()
                 for b in analysis.outputs_ordered()
             ]
+
+
+    def test_rows_equal_the_pair_by_pair_climb(self):
+        rng = random.Random(1818)
+        types = [random_type(rng, max_systems=10, dims=(2, 3)) for _ in range(500)]
+        types += [parse_type(_chain(n, nest)) for n in (2, 3, 17, 40, 60) for nest in ("left", "right")]
+        both = f"({_chain(30, 'left')})->({_chain(30, 'right').replace('S', 'T')})"
+        types += [parse_type("~" * 40 + "(A->B)"), parse_type(both)]
+        pairs = 0
+        for x in types:
+            rows = signalling_matrix(x)
+            assert _row_keys(rows) == _row_keys(reference_rows(x))
+            pairs += len(rows)
+        assert pairs > 5000
+
+
+class TestFrontEndWork:
+    # the five fixed families of the ``signal`` benchmark workload
+    FAMILIES = [
+        "*".join(f"(A{i}->B{i})" for i in range(7)),
+        "*".join(f"(A{i}->B{i})" for i in range(8)),
+        _chain(16, "left"),
+        _chain(18, "left"),
+        _chain(24, "right"),
+    ]
+
+    @pytest.mark.parametrize("text", FAMILIES)
+    def test_one_walk_and_no_rebuild(self, monkeypatch, text):
+        walks = []
+        walk = type_core._walk_tree
+        monkeypatch.setattr(type_core, "_walk_tree", lambda x: walks.append(x) or walk(x))
+        x = parse_type(text)
+        built = []
+        arrow_init = Arrow.__init__
+        with monkeypatch.context() as patch:
+            patch.setattr(Arrow, "__init__", lambda self, *a: built.append(self) or arrow_init(self, *a))
+            relabeled, renamed = hotypes.relabel_unique(x)
+        assert relabeled is x and renamed == {} and built == []
+        signalling_matrix(relabeled)
+        assert walks == [x]
+
+    @pytest.mark.parametrize("nest", ["right", "left"])
+    def test_one_climb_per_input(self, nest):
+        # parent steps of the climbs plus one step per verdict stay within
+        # inputs * (depth + outputs); a climb per pair takes about nine
+        # thousand parent steps on the left-nested chain alone
+        x = parse_type(_chain(60, nest))
+        tree = _flat_tree(x)
+        depth = 0
+        for leaf in tree.leaf_node:
+            hops, node = 0, leaf
+            while tree.parent[node] != -1:
+                hops, node = hops + 1, tree.parent[node]
+            depth = max(depth, hops)
+        steps = []
+
+        class Counted(tuple):
+            def __getitem__(self, node):
+                steps.append(node)
+                return tuple.__getitem__(self, node)
+
+        rows = signalling._rows(x, tree._replace(parent=Counted(tree.parent)))
+        inputs, outputs = sum(tree.k), len(tree.k) - sum(tree.k)
+        assert len(rows) == inputs * outputs
+        assert len(steps) + len(rows) <= inputs * (depth + outputs)
+        assert _row_keys(rows) == _row_keys(reference_rows(x))
 
 
 class TestCrosscheck:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -33,8 +34,11 @@ from hotypes import (
 )
 
 from hotypes import type_core
+from hotypes.oracle import basis_dimension
+from hotypes.strings import _count_arrow, word_count
+from hotypes.type_core import _fold, _lambda_arrow, _tokenize
 
-from conftest import random_type, type_exprs
+from conftest import random_type, reference_tokenize, type_exprs
 
 
 def el(name: str, dim: int = 2) -> Elementary:
@@ -90,13 +94,57 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "text,position",
-        [("(A->", 4), ("A->", 3), ("a", 0), ("A**B", 2), ("(A->B", 5), ("A)", 1)],
+        [
+            ("(A->", 4), ("A->", 3), ("a", 0), ("A**B", 2), ("(A->B", 5), ("A)", 1),
+            ("Ié", 1), ("A-B", 1),
+        ],
     )
     def test_syntax_errors_carry_positions(self, text, position):
         with pytest.raises(TypeSyntaxError) as err:
             parse_type(text)
         assert err.value.position == position
         assert "^" in err.value.caret_diagram()
+
+
+# pieces that break the grammar, or sit at the edge of a token class
+_NOISE = [
+    "a", "z", "-", ">", "-->", "2", "07", "_", "$", "é", "λ", "→", "\u00a0", "\u2003", "\t",
+    "\n", " ", "I2", "IA", "I_", "Ié", "I", "AB9", "(", ")", "~", "*", "->",
+]
+
+
+def _seeded_texts(seed: int, count: int) -> list[str]:
+    """Rendered random types, spaced out at random, most of them then
+    broken by one or two pieces of ``_NOISE`` or given trailing space."""
+    rng = random.Random(seed)
+    texts = ["", " ", "A ", "A->B \t", "a", "2A", "-A", "A-B", "A->-B", "I2", "IA", "I2->IA",
+             "Ié", "λ", "A\u00a0->B", "(A->B))", "A->B\n", "A->~I", "A_b0->B"]
+    while len(texts) < count:
+        text = render_type(random_type(rng, max_systems=6), sugar=rng.random() < 0.5)
+        text = "".join(c + " " * (rng.random() < 0.15) for c in text)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(_NOISE) + text[at + rng.randint(0, 1):]
+        if rng.random() < 0.2:
+            text += rng.choice((" ", "  ", "\t", "\n"))
+        texts.append(text)
+    return texts
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except TypeSyntaxError as exc:
+        return str(exc), exc.position, exc.caret_diagram()
+
+
+class TestTokenizer:
+    def test_matches_the_match_loop_on_seeded_texts(self):
+        texts = _seeded_texts(20261019, 600)
+        outcomes = [_tokens_or_error(_tokenize, text) for text in texts]
+        assert outcomes == [_tokens_or_error(reference_tokenize, text) for text in texts]
+        failed = sum(isinstance(outcome, tuple) for outcome in outcomes)
+        assert 100 < failed < len(texts) - 100  # both kinds of text are well represented
 
 
 class TestRender:
@@ -155,6 +203,24 @@ class TestRelabel:
     def test_fresh_labels_inherit_dimension(self):
         relabeled, _ = relabel_unique(parse_type("A->A", {"A": 5}))
         assert elementary_systems(relabeled) == (Label("A", 5), Label("A1", 5))
+
+    def test_argument_comes_back_exactly_when_no_label_repeats(self):
+        rng = random.Random(1810)
+        repeated = 0
+        for _ in range(500):
+            text = render_type(random_type(rng, max_systems=7, min_systems=2))
+            names = [name for name in re.findall(r"[A-Z][A-Za-z0-9_]*", text) if name != "I"]
+            if rng.random() < 0.5:
+                a, b = rng.sample(names, 2)
+                text = re.sub(rf"\b{b}\b", a, text)
+            x = parse_type(text)
+            labels = [node.label.name for node in x.walk() if isinstance(node, Elementary)]
+            repeats = len(set(labels)) < len(labels)
+            repeated += repeats
+            relabeled, mapping = relabel_unique(x)
+            assert (relabeled is x) == (not repeats) == (mapping == {})
+            assert len(set(elementary_systems(relabeled))) == len(labels)
+        assert 100 < repeated < 400
 
 
 class TestElementarySystems:
@@ -255,6 +321,22 @@ class TestIoPartition:
             flipped = io_partition(bar(x))
             assert flipped.inputs == forward.outputs
             assert flipped.outputs == forward.inputs
+
+
+class TestTreeFolds:
+    def test_tree_folds_equal_object_folds(self):
+        # lambda and both class counts fold over the flat tree; the object
+        # fold of the rebuilders is the reference
+        rng = random.Random(2718)
+        tables = [(2,), (3,), (2, 3), (2, 3, 5)]
+        types = [random_type(rng, max_systems=9, dims=tables[n % 4]) for n in range(400)]
+        types.append(parse_type("((A->B)->(C->D))*~(E->I)", {"A": 3, "C": 3, "E": 3}))
+        squares = lambda a: (a.dimension**2 - 1, 1, a.dimension**2)  # noqa: E731
+        for x in types:
+            num, den, _ = _fold(x, lambda a: (1, a.dimension, a.dimension), (1, 1, 1), _lambda_arrow)
+            assert io_partition(x).lam == Fraction(num, den)
+            assert word_count(x) == _fold(x, lambda _: (1, 1, 2), (0, 1, 1), _count_arrow)[0]
+            assert basis_dimension(x) == _fold(x, squares, (0, 1, 1), _count_arrow)[0]
 
 
 class TestMinimalEnclosing:
