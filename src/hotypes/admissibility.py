@@ -1,20 +1,23 @@
 """Decision procedures over the string calculus.
 
 Type inclusion is a subset test on enumerated D sets, refused above the
-63-label cap before any set is built.  Contraction and
-composition admissibility is emptiness of D_x against a critical set,
-decided without building either: one pass over the type tree per pair-bit
-pattern sorts words into three classes (in D, all-ones, neither), so a
-pattern costs O(labels) and k pairs cost 2^k - 1 patterns, refused above
-``strings.PATTERN_BUDGET``.  Verdicts carry a machine-checkable witness
-whenever they reject: the smallest offending word in sorted-name order.
+63-label cap before any set is built; equivalence adds the reverse test
+only when the two sets differ in size.  Contraction and composition
+admissibility is emptiness of D_x against a critical set, decided
+without building either: the nodes of the type tree are sorted into
+three classes of words (in D, all-ones, neither) once per type, and each
+pair-bit pattern re-sorts only the paths from its paired leaves to the
+root, so a pattern costs O(depth) per pair and k pairs cost 2^k - 1
+patterns, refused above ``strings.PATTERN_BUDGET``.  Verdicts carry a
+machine-checkable witness whenever they reject: the smallest offending
+word in sorted-name order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable
 
 from .strings import BitWord, _critical_word, _universe, build_D
 from .type_core import (
@@ -25,6 +28,7 @@ from .type_core import (
     TypeExpr,
     _flat_tree,
     _fold,
+    _roles,
     elementary_systems,
     io_partition,
     tensor,
@@ -135,28 +139,28 @@ def check_inclusion(x: TypeExpr, y: TypeExpr) -> Verdict:
 
 
 def check_equivalence(x: TypeExpr, y: TypeExpr) -> Verdict:
-    """Inclusion both ways."""
+    """Inclusion both ways.  A forward inclusion already makes D_x a subset
+    of D_y, so when the two have equal size they are equal and the
+    reverse test is skipped; otherwise D_x is a proper subset and the
+    reverse test fails with its witness."""
     forward = check_inclusion(x, y)
-    if not forward.admissible:
+    if not forward.admissible or len(build_D(x)) == len(build_D(y)):
         return forward
-    backward = check_inclusion(y, x)
-    if not backward.admissible:
-        return backward
-    return forward
+    return check_inclusion(y, x)
 
 
 # --- contraction admissibility --------------------------------------------------
 
-def _resolve_pairs(labels: Sequence[Label], spec: ContractionSpec) -> list[tuple[Label, Label]]:
-    """Bind pair labels by name to the type's own systems; the two systems
-    of one pair must share a dimension."""
-    by_name = {a.name: a for a in labels}
+def _resolve_pairs(x: TypeExpr, spec: ContractionSpec) -> list[tuple[Label, Label]]:
+    """Bind pair labels by name to the systems of x; the two systems of one
+    pair must share a dimension."""
+    labels, index = _flat_tree(x).labels, _roles(x).index
     resolved = []
     for a, b in spec.pairs:
         for lbl in (a, b):
-            if lbl.name not in by_name:
+            if lbl.name not in index:
                 raise ValueError(f"label {lbl.name!r} does not occur in the type")
-        ra, rb = by_name[a.name], by_name[b.name]
+        ra, rb = labels[index[a.name]], labels[index[b.name]]
         if ra.dimension != rb.dimension:
             raise ValueError(
                 f"contracted pair ({ra.name}, {rb.name}) has unequal dimensions "
@@ -188,20 +192,19 @@ def check_contraction(x: TypeExpr, spec: ContractionSpec) -> Verdict:
     reduce to an emptiness test of D_x against the critical set of the
     oriented pairs, decided by the class pass over the type tree.
     """
-    tree = _flat_tree(x)
-    inputs, outputs = tree.inputs(), tree.outputs()
-    rejection, oriented = _orient_pairs(set(inputs), _resolve_pairs(tree.labels, spec))
+    roles = _roles(x)
+    rejection, oriented = _orient_pairs(roles.input_set, _resolve_pairs(x, spec))
     if rejection is not None:
         return rejection
-    witness = _critical_word(tree, oriented) if oriented else None
+    witness = _critical_word(x, oriented) if oriented else None
     if witness is not None:
         return Verdict(False, Reason.CRITICAL_SET, witness=witness)
     contracted = {name for pair in oriented for name in (pair[0].name, pair[1].name)}
     return Verdict(
         True,
         Reason.OK,
-        result_in=tuple(a for a in inputs if a.name not in contracted),
-        result_out=tuple(a for a in outputs if a.name not in contracted),
+        result_in=tuple(a for a in roles.inputs if a.name not in contracted),
+        result_out=tuple(a for a in roles.outputs if a.name not in contracted),
     )
 
 

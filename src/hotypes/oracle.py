@@ -22,7 +22,7 @@ import numpy as np
 from .admissibility import ContractionSpec, check_contraction
 from .signalling import Relation, signals
 from .strings import BitWord, WordSet, _class_count, build_D, canonical_universe
-from .type_core import IoAnalysis, Label, TypeExpr, io_partition
+from .type_core import IoAnalysis, Label, TypeExpr, _roles, io_partition
 
 BASIS_BYTES = 1 << 30
 
@@ -636,8 +636,8 @@ def verify(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
-    analysis = io_partition(x)
-    inputs, outputs = analysis.inputs_ordered(), analysis.outputs_ordered()
+    analysis, roles = io_partition(x), _roles(x)
+    inputs, outputs = roles.inputs, roles.outputs
     lambda_ok = analysis.lam == Fraction(1, _side(outputs))
     _check_bytes(analysis.elementary)  # before D_x is enumerated
     basis_size = len(basis_for_words(build_D(x)))

@@ -13,12 +13,12 @@ an independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from typing import NamedTuple
 
 from .strings import _critical_word
-from .type_core import Label, TypeExpr, _flat_tree, _FlatTree, render_type
+from .type_core import Label, TypeExpr, _flat_tree, _FlatTree, _roles, render_type
 
 
 class Relation(str, Enum):
@@ -26,8 +26,7 @@ class Relation(str, Enum):
     FULL_SIGNALLING = "full-signalling"
 
 
-@dataclass(frozen=True)
-class SignallingVerdict:
+class SignallingVerdict(NamedTuple):
     source: Label
     target: Label
     relation: Relation
@@ -42,9 +41,9 @@ class SignallingVerdict:
         }
 
 
-def _resolve_pair(tree: _FlatTree, a: Label | str, b: Label | str) -> tuple[int, int]:
-    """Textual positions of input a (K = 1) and output b (K = 0)."""
-    index = {lbl.name: i for i, lbl in enumerate(tree.labels)}
+def _resolve_pair(x: TypeExpr, a: Label | str, b: Label | str) -> tuple[int, int]:
+    """Textual positions of input a (K = 1) and output b (K = 0) of x."""
+    tree, index = _flat_tree(x), _roles(x).index
     name_a = a.name if isinstance(a, Label) else a
     name_b = b.name if isinstance(b, Label) else b
     i, j = index.get(name_a), index.get(name_b)
@@ -62,9 +61,8 @@ def signals(x: TypeExpr, a: Label | str, b: Label | str) -> SignallingVerdict:
     the type signals (fully) from a to b; a flipping to an output role
     means no signalling.
     """
-    tree = _flat_tree(x)
-    i, j = _resolve_pair(tree, a, b)
-    return _verdicts(x, tree, [i], [j])[0]
+    i, j = _resolve_pair(x, a, b)
+    return _verdicts(x, _flat_tree(x), [i], [j])[0]
 
 
 # the relation indexed by K of the input inside the enclosing subterm
@@ -103,9 +101,8 @@ def crosscheck(x: TypeExpr) -> bool:
     no signalling must coincide exactly with an admissible contraction.
     Admissibility comes from the class pass over the type tree, which,
     unlike ``check_contraction``, also takes pairs of unequal dimension."""
-    tree = _flat_tree(x)
-    for row in _rows(x, tree):
-        admissible = _critical_word(tree, [(row.source, row.target)]) is None
+    for row in _rows(x, _flat_tree(x)):
+        admissible = _critical_word(x, [(row.source, row.target)]) is None
         if admissible != (row.relation is Relation.NO_SIGNALLING):
             return False
     return True

@@ -10,7 +10,8 @@ is in D_x, is the all-ones word, or is in the rest R_x, and one rule on
 these three classes serves every use: ``build_D`` builds D_x from the
 D and R sets of the sides, never a set larger than D_x, so its cost
 follows |D_x|; ``word_count`` counts D_x and ``_critical_word`` decides
-contraction by one pass over the classes, without building a set.
+contraction from the classes, by one pass per type and climbs from the
+paired leaves per query, without building a set.
 ``critical_set_multi`` builds the obstruction set only to show it.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .type_core import (
     Arrow,
@@ -27,9 +28,10 @@ from .type_core import (
     Label,
     Trivial,
     TypeExpr,
-    _FlatTree,
     _distinct_labels,
     _flat_tree,
+    _memo,
+    _roles,
 )
 
 MAX_UNIVERSE = 63
@@ -185,10 +187,11 @@ def build_D(x: TypeExpr) -> WordSet:
     rest_x, d_y = _rest(x.left), build_D(x.right)
     universe, shift = _universe(rest_x.universe + d_y.universe), len(rest_x.universe)
     e_y = (1 << len(d_y.universe)) - 1
-    w_x = range(1 << shift) if d_y.masks else ()
-    tail = _rest(x.right).masks | {e_y} if rest_x.masks else ()
-    masks = {u | v << shift for u in w_x for v in d_y.masks}
-    masks.update(u | v << shift for u in rest_x.masks for v in tail)
+    masks: set[int] = set()
+    if d_y.masks:
+        _join(masks, range(1 << shift), d_y.masks, shift)
+    if rest_x.masks:
+        _join(masks, rest_x.masks, _rest(x.right).masks | {e_y}, shift)
     return WordSet(universe, frozenset(masks))
 
 
@@ -204,9 +207,23 @@ def _rest(x: TypeExpr) -> WordSet:
     d_x, rest_y = build_D(x.left), _rest(x.right)
     universe, shift = _universe(d_x.universe + rest_y.universe), len(d_x.universe)
     e_x, e_y = (1 << shift) - 1, (1 << len(rest_y.universe)) - 1
-    masks = {u | v << shift for u in d_x.masks | {e_x} for v in rest_y.masks | {e_y}}
+    masks: set[int] = set()
+    _join(masks, d_x.masks | {e_x}, rest_y.masks | {e_y}, shift)
     masks.discard(e_x | e_y << shift)
     return WordSet(universe, frozenset(masks))
+
+
+def _join(masks: set[int], us: Collection[int], vs: Collection[int], shift: int) -> None:
+    """Add the word u | v << shift for every u in us and v in vs to masks:
+    one ``set.update`` over the larger side per word of the smaller one.
+    The two halves share no bit, so ``|`` joins them either way round."""
+    if len(us) <= len(vs):
+        shifted = [v << shift for v in vs]
+        for u in us:
+            masks.update(map(u.__or__, shifted))
+    else:
+        for v in vs:
+            masks.update(map((v << shift).__or__, us))
 
 
 def _count_arrow(left, right):
@@ -260,43 +277,52 @@ _ARROW_CLASSES = [
 PATTERN_BUDGET = (1 << 12) - 1
 
 
-def _critical_word(tree: _FlatTree, pairs: Sequence[tuple[Label, Label]]) -> BitWord | None:
+def _base_classes(x: TypeExpr) -> list[int]:
+    """The classes each node of x reaches with every input free and every
+    output at 1, indexed by node; the state every critical-set pass starts
+    from before it fixes its pairs.  Refuses a universe over the cap."""
+    tree = _flat_tree(x)
+    _universe(tree.labels)  # the 63-label cap
+    values = [_E] * len(tree.left)  # I is all-ones
+    for node, k in zip(tree.leaf_node, tree.k):
+        values[node] = _D | _E if k else _E
+    for j, (l, r) in enumerate(zip(tree.left, tree.right)):
+        if l != -1:
+            values[j] = _ARROW_CLASSES[values[l] << 3 | values[r]]
+    return values
+
+
+def _critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord | None:
     """The smallest word of D_x in the critical set of the (input, output)
-    pairs, or None when D_x misses it; x is given as its flat tree.
+    pairs, or None when D_x misses it.
 
     Equal to the ``min_word`` of ``build_D(x) ∩ critical_set_multi(x,
     pairs)`` without building either set.  Each pair-bit pattern other
     than all ones fixes a cube: both labels of a pair at its bit, the other
-    outputs at 1, the other inputs free.  One bottom-up pass gives the
-    classes reachable at the root; a cube meets D_x when D is among them.
-    Its smallest hit fixes the free inputs in sorted-name order, 0 first
-    while D stays reachable, re-evaluating only the changed leaf's path to
-    the root.  The witness is the smallest hit over all patterns.
+    outputs at 1, the other inputs free.  The classes reachable at each
+    node under no pair fixed are computed once per type (``_base_classes``,
+    kept with x); a call copies them and climbs from each paired leaf to
+    the root, stopping where a node's classes do not change, so a pattern
+    changes O(depth) nodes per pair.  A cube meets D_x when D is reachable
+    at the root.  Its smallest hit fixes the free inputs in sorted-name
+    order, 0 first while D stays reachable, climbing from each changed
+    leaf.  The witness is the smallest hit over all patterns.
     """
-    canonical = canonical_universe(tree.labels)  # the 63-label cap
+    tree, roles = _flat_tree(x), _roles(x)
+    values = _memo(x, "_base_classes", _base_classes)[:]
     patterns = (1 << len(pairs)) - 1
     if patterns > PATTERN_BUDGET:
         raise ValueError(
             f"{len(pairs)} contraction pairs need {patterns} critical-set patterns; "
             f"the budget is {PATTERN_BUDGET}"
         )
-    index = {a.name: i for i, a in enumerate(tree.labels)}
+    index, order = roles.index, roles.order
     pair_index = [(index[a.name], index[b.name]) for a, b in pairs]
-    paired = {i for pair in pair_index for i in pair}
-    order = [index[a.name] for a in canonical]  # sorted-name rank -> label index
-    free = [i for i in order if tree.k[i] and i not in paired]
-    left, right, parent = tree.left, tree.right, tree.parent
+    left, right, parent, leaf_node = tree.left, tree.right, tree.parent, tree.leaf_node
     root = len(left) - 1
 
-    values = [_E] * len(left)  # I is all-ones
-    for i, node in enumerate(tree.leaf_node):
-        values[node] = _D if i in paired else (_D | _E if tree.k[i] else _E)
-    for j, l in enumerate(left):
-        if l != -1:
-            values[j] = _ARROW_CLASSES[values[l] << 3 | values[right[j]]]
-
     def set_leaf(i: int, classes: int) -> None:
-        node = tree.leaf_node[i]
+        node = leaf_node[i]
         values[node] = classes
         node = parent[node]
         while node != -1:
@@ -306,16 +332,25 @@ def _critical_word(tree: _FlatTree, pairs: Sequence[tuple[Label, Label]]) -> Bit
             values[node] = reached
             node = parent[node]
 
+    # Gray-code order, one pair changing its bit per step, started so that
+    # all ones on the pairs, which the critical set leaves out, comes last
+    pattern = patterns >> 1
+    for n, pair in enumerate(pair_index):
+        for i in pair:
+            set_leaf(i, _E if pattern >> n & 1 else _D)
+    free = None  # the unpaired inputs in sorted-name order, once a cube hits
     best = None
-    pattern = 0
-    for step in range(patterns + 1):
-        if step:  # Gray-code order: one pair changes its bit per step
+    for step in range(patterns):
+        if step:
             flip = (step & -step).bit_length() - 1
             pattern ^= 1 << flip
             for i in pair_index[flip]:
                 set_leaf(i, _E if pattern >> flip & 1 else _D)
-        if pattern == patterns or not values[root] & _D:
-            continue  # the critical set leaves out all ones on the pairs
+        if not values[root] & _D:
+            continue
+        if free is None:
+            paired = {i for pair in pair_index for i in pair}
+            free = [i for i in order if tree.k[i] and i not in paired]
         bits = [1] * len(tree.labels)
         for n, (a, b) in enumerate(pair_index):
             bits[a] = bits[b] = pattern >> n & 1
@@ -323,6 +358,7 @@ def _critical_word(tree: _FlatTree, pairs: Sequence[tuple[Label, Label]]) -> Bit
             bits[i] = 0
         if best is not None and [bits[i] for i in order] >= best:
             continue  # not even its free inputs all 0 would beat the best hit
+        cube = values[:] if step < patterns - 1 else None  # restored for the next pattern
         for i in free:
             set_leaf(i, _D)
             if not values[root] & _D:
@@ -330,10 +366,11 @@ def _critical_word(tree: _FlatTree, pairs: Sequence[tuple[Label, Label]]) -> Bit
                 bits[i] = 1
         word = [bits[i] for i in order]
         best = word if best is None else min(best, word)
-        for i in free:
-            set_leaf(i, _D | _E)
+        if cube is not None:
+            values[:] = cube
     if best is None:
         return None
+    canonical = tuple(tree.labels[i] for i in order)
     return BitWord(canonical, sum(bit << r for r, bit in enumerate(best)))
 
 

@@ -61,6 +61,12 @@ class TypeExpr:
     def __str__(self) -> str:
         return render_type(self)
 
+    def __getstate__(self) -> dict:
+        # the memos, kept in ``__dict__`` under names that start with "_",
+        # are rebuilt where the object lands: a cached hash of a label
+        # name is only valid in the process that computed it
+        return {key: value for key, value in self.__dict__.items() if not key.startswith("_")}
+
     def walk(self) -> Iterator["TypeExpr"]:
         """Yield this expression and all subterms, left to right (preorder,
         without recursion)."""
@@ -86,6 +92,30 @@ class Trivial(TypeExpr):
 class Arrow(TypeExpr):
     left: TypeExpr
     right: TypeExpr
+
+    def __hash__(self) -> int:
+        # the dataclass hash of (left, right), kept per object; the first
+        # call fills it bottom-up, so deep types raise no RecursionError
+        cached = self.__dict__.get("_hash")
+        return cached if cached is not None else _hash_arrows(self)
+
+
+def _hash_arrows(x: Arrow) -> int:
+    """Cache the hash of every arrow in x that has none yet, children
+    first, by an explicit stack; each arrow then hashes its two sides from
+    their cached values."""
+    todo = [x]
+    while todo:
+        node = todo[-1]
+        pending = [
+            side for side in (node.left, node.right) if isinstance(side, Arrow) and "_hash" not in side.__dict__
+        ]
+        if pending:
+            todo += pending
+        else:
+            todo.pop()
+            node.__dict__["_hash"] = hash((node.left, node.right))
+    return x.__dict__["_hash"]
 
 
 TRIVIAL = Trivial()
@@ -141,74 +171,73 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent over the grammar: ~ binds tightest, then *, then ->.
+def _reduce(operands: list[TypeExpr], operators: list[str], binary: tuple[str, ...]) -> None:
+    """Apply the operators in ``binary`` on top of the stack, each to the
+    two topmost operands."""
+    while operators and operators[-1] in binary:
+        right = operands.pop()
+        if operators.pop() == "*":
+            operands.append(tensor(operands.pop(), right))
+        else:
+            operands.append(Arrow(operands.pop(), right))
 
-    ``*`` is left-associative, ``->`` right-associative.
+
+def _parse_tokens(text: str, system_table: Mapping[str, int]) -> TypeExpr:
+    """Operator precedence over the tokens, with an operand and an operator
+    stack instead of recursion: ~ binds tightest, then *, then ->.  ``*``
+    is left-associative, ``->`` right-associative.
+
+    Reading alternates between two states.  Where a type must start, ~ and
+    ( are stacked until an atom.  After a complete type, the ~ directly
+    above it apply, a ) folds the stack down to its ( and completes a type
+    again, and a * or -> folds the * below it before it is stacked.  Any
+    other token ends the text, or is missing a ) if one is open.  Errors
+    name the same token as a recursive descent would.
     """
-
-    def __init__(self, text: str, system_table: Mapping[str, int]):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.kind = self.tokens[0][0]  # of the current token, read at every step
-        self.system_table = system_table
-
-    def advance(self) -> None:
-        """Step past the current token, which is never END."""
-        self.index += 1
-        self.kind = self.tokens[self.index][0]
-
-    def fail(self, message: str) -> TypeSyntaxError:
-        return TypeSyntaxError(message, self.text, self.tokens[self.index][2])
-
-    def parse(self) -> TypeExpr:
-        expr = self.parse_arrow()
-        if self.kind != "END":
-            raise self.fail(f"unexpected {self.tokens[self.index][1]!r}")
-        return expr
-
-    def parse_arrow(self) -> TypeExpr:
-        left = self.parse_star()
-        if self.kind == "->":
-            self.advance()
-            right = self.parse_arrow()
-            return Arrow(left, right)
-        return left
-
-    def parse_star(self) -> TypeExpr:
-        expr = self.parse_unary()
-        while self.kind == "*":
-            self.advance()
-            expr = tensor(expr, self.parse_unary())
-        return expr
-
-    def parse_unary(self) -> TypeExpr:
-        if self.kind == "~":
-            self.advance()
-            return bar(self.parse_unary())
-        return self.parse_atom()
-
-    def parse_atom(self) -> TypeExpr:
-        kind, lexeme, pos = self.tokens[self.index]
-        if kind == "(":
-            self.advance()
-            expr = self.parse_arrow()
-            if self.kind != ")":
-                raise self.fail("expected ')'")
-            self.advance()
-            return expr
+    tokens = _tokenize(text)
+    operands: list[TypeExpr] = []
+    operators: list[str] = []  # "~", "(", "*" and "->"
+    index = 0
+    while True:
+        kind, lexeme, pos = tokens[index]
+        while kind == "~" or kind == "(":
+            operators.append(kind)
+            index += 1
+            kind, lexeme, pos = tokens[index]
         if kind == "I":
-            self.advance()
-            return TRIVIAL
-        if kind == "NAME":
-            self.advance()
-            dim = self.system_table.get(lexeme, 2)
+            operands.append(TRIVIAL)
+        elif kind == "NAME":
             try:
-                return Elementary(Label(lexeme, dim))
+                operands.append(Elementary(Label(lexeme, system_table.get(lexeme, 2))))
             except ValueError as exc:
-                raise TypeSyntaxError(str(exc), self.text, pos) from None
-        raise self.fail(f"expected a type, found {lexeme or 'end of input'!r}")
+                raise TypeSyntaxError(str(exc), text, pos) from None
+        else:
+            raise TypeSyntaxError(f"expected a type, found {lexeme or 'end of input'!r}", text, pos)
+        index += 1
+        kind, lexeme, pos = tokens[index]
+        while True:
+            while operators and operators[-1] == "~":
+                operators.pop()
+                operands.append(bar(operands.pop()))
+            if kind != ")":
+                break
+            _reduce(operands, operators, ("*", "->"))
+            if not operators:
+                raise TypeSyntaxError(f"unexpected {lexeme!r}", text, pos)
+            operators.pop()  # the matching (
+            index += 1
+            kind, lexeme, pos = tokens[index]
+        if kind == "*" or kind == "->":
+            _reduce(operands, operators, ("*",))
+            operators.append(kind)
+            index += 1
+            continue
+        _reduce(operands, operators, ("*", "->"))
+        if operators:
+            raise TypeSyntaxError("expected ')'", text, pos)
+        if kind != "END":
+            raise TypeSyntaxError(f"unexpected {lexeme!r}", text, pos)
+        return operands[0]
 
 
 def parse_type(text: str, system_table: Mapping[str, int] | None = None) -> TypeExpr:
@@ -224,7 +253,7 @@ def parse_type(text: str, system_table: Mapping[str, int] | None = None) -> Type
             text,
             0,
         )
-    return _Parser(text, table).parse()
+    return _parse_tokens(text, table)
 
 
 # --- rendering -------------------------------------------------------------
@@ -356,15 +385,55 @@ class _FlatTree(NamedTuple):
         return values[-1]
 
 
+def _memo(x: TypeExpr, key: str, build):
+    """``build(x)``, computed on the first call and kept in the object's
+    ``__dict__`` under ``key``.  It is held per object, never per equal
+    value, and dies with the object; nothing kept there may refer back to
+    x, so that a dead type is freed without the cycle collector."""
+    value = x.__dict__.get(key)
+    if value is None:
+        value = x.__dict__[key] = build(x)
+    return value
+
+
 def _flat_tree(x: TypeExpr) -> _FlatTree:
-    """The flat tree of x, built on the first call and kept in the object's
-    ``__dict__``, so every structural question about one type object
-    shares one walk.  It is held per object, never per equal value, so
-    the root's subterm is x itself."""
-    tree = x.__dict__.get("_flat_tree")
-    if tree is None:
-        tree = x.__dict__["_flat_tree"] = _walk_tree(x)
-    return tree
+    """The flat tree of x, kept with x (``_memo``), so every structural
+    question about one type object shares one walk and the root's subterm
+    is x itself."""
+    return _memo(x, "_flat_tree", _walk_tree)
+
+
+class _Roles(NamedTuple):
+    """What every decision about one type reads besides its flat tree: the
+    inputs and the outputs in textual order, the set of inputs, the
+    textual position of each label name, and the textual positions in
+    sorted-name order."""
+
+    inputs: tuple[Label, ...]
+    outputs: tuple[Label, ...]
+    input_set: frozenset[Label]
+    index: dict[str, int]
+    order: tuple[int, ...]
+
+
+def _roles(x: TypeExpr) -> _Roles:
+    """The roles of x, built on the first decision about x and kept next to
+    its flat tree (``_memo``); the structural walk alone does not build
+    them."""
+    return _memo(x, "_roles", _build_roles)
+
+
+def _build_roles(x: TypeExpr) -> _Roles:
+    tree = _flat_tree(x)
+    names = [a.name for a in tree.labels]
+    inputs = tree.inputs()
+    return _Roles(
+        inputs,
+        tree.outputs(),
+        frozenset(inputs),
+        {name: i for i, name in enumerate(names)},
+        tuple(sorted(range(len(names)), key=names.__getitem__)),
+    )
 
 
 def _walk_tree(x: TypeExpr) -> _FlatTree:

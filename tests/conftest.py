@@ -9,8 +9,10 @@ contraction on the dual, a dense product-basis builder, the per-word
 basis dimension, the enumerated critical-set intersection, the sampler
 and witness as plain dense loops, the oracle check pair by pair, the
 partial transpose, partial trace and link product as textbook matrix
-operations, the tokenizer as a match loop that re-checks every name, and
-the signalling matrix as one climb per pair."""
+operations, the tokenizer as a match loop that re-checks every name, the
+signalling matrix as one climb per pair, the parser as recursive descent,
+the critical-set pass from scratch on every call, and equivalence as
+inclusion both ways."""
 
 from __future__ import annotations
 
@@ -59,8 +61,18 @@ from hotypes.oracle import (
     violation_witness,
 )
 from hotypes.signalling import Relation, SignallingVerdict, _resolve_pair, signals
-from hotypes.strings import _critical_word, _universe, canonical_universe, concat, critical_set_multi
-from hotypes.type_core import TypeSyntaxError, _flat_tree
+from hotypes.strings import (
+    _ARROW_CLASSES,
+    _D,
+    _E,
+    PATTERN_BUDGET,
+    _critical_word,
+    _universe,
+    canonical_universe,
+    concat,
+    critical_set_multi,
+)
+from hotypes.type_core import TypeSyntaxError, _flat_tree, _tokenize
 
 hypothesis.settings.register_profile(
     "hotypes", deadline=None, max_examples=60, derandomize=True
@@ -262,7 +274,7 @@ def supermap_inclusion_form(x: TypeExpr, spec: ContractionSpec) -> Verdict:
     check_inclusion against it.  Agrees with check_contraction.
     """
     analysis = io_partition(x)
-    rejection, oriented = _orient_pairs(analysis.inputs, _resolve_pairs(analysis.elementary, spec))
+    rejection, oriented = _orient_pairs(analysis.inputs, _resolve_pairs(x, spec))
     if rejection is not None:
         raise ValueError(f"pairs must join inputs with outputs ({rejection.reason.value})")
     if not oriented:
@@ -322,8 +334,8 @@ def full_signalling(x: TypeExpr, a: Label | str, b: Label | str) -> bool:
     """Critical-set test for full signalling from input a to output b: the
     reversed contraction on the dual type must be admissible."""
     tree = _flat_tree(x)
-    i, j = _resolve_pair(tree, a, b)
-    return _critical_word(_flat_tree(bar(x)), [(tree.labels[j], tree.labels[i])]) is None
+    i, j = _resolve_pair(x, a, b)
+    return _critical_word(bar(x), [(tree.labels[j], tree.labels[i])]) is None
 
 
 def dense_basis(words: WordSet) -> list[np.ndarray]:
@@ -594,3 +606,162 @@ def reference_rows(x: TypeExpr) -> list[SignallingVerdict]:
             enclosing = tree.subterm(x, node)
             rows.append(SignallingVerdict(tree.labels[i], tree.labels[j], relation, enclosing))
     return rows
+
+
+class _ReferenceParser:
+    """Recursive descent over the grammar: ~ binds tightest, then *, then ->.
+
+    ``*`` is left-associative, ``->`` right-associative.
+    """
+
+    def __init__(self, text: str, system_table: dict[str, int]):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.index = 0
+        self.kind = self.tokens[0][0]  # of the current token, read at every step
+        self.system_table = system_table
+
+    def advance(self) -> None:
+        """Step past the current token, which is never END."""
+        self.index += 1
+        self.kind = self.tokens[self.index][0]
+
+    def fail(self, message: str) -> TypeSyntaxError:
+        return TypeSyntaxError(message, self.text, self.tokens[self.index][2])
+
+    def parse(self) -> TypeExpr:
+        expr = self.parse_arrow()
+        if self.kind != "END":
+            raise self.fail(f"unexpected {self.tokens[self.index][1]!r}")
+        return expr
+
+    def parse_arrow(self) -> TypeExpr:
+        left = self.parse_star()
+        if self.kind == "->":
+            self.advance()
+            right = self.parse_arrow()
+            return Arrow(left, right)
+        return left
+
+    def parse_star(self) -> TypeExpr:
+        expr = self.parse_unary()
+        while self.kind == "*":
+            self.advance()
+            expr = tensor(expr, self.parse_unary())
+        return expr
+
+    def parse_unary(self) -> TypeExpr:
+        if self.kind == "~":
+            self.advance()
+            return bar(self.parse_unary())
+        return self.parse_atom()
+
+    def parse_atom(self) -> TypeExpr:
+        kind, lexeme, pos = self.tokens[self.index]
+        if kind == "(":
+            self.advance()
+            expr = self.parse_arrow()
+            if self.kind != ")":
+                raise self.fail("expected ')'")
+            self.advance()
+            return expr
+        if kind == "I":
+            self.advance()
+            return TRIVIAL
+        if kind == "NAME":
+            self.advance()
+            dim = self.system_table.get(lexeme, 2)
+            try:
+                return Elementary(Label(lexeme, dim))
+            except ValueError as exc:
+                raise TypeSyntaxError(str(exc), self.text, pos) from None
+        raise self.fail(f"expected a type, found {lexeme or 'end of input'!r}")
+
+
+def reference_parse(text: str, system_table: dict[str, int] | None = None) -> TypeExpr:
+    """``parse_type`` by recursive descent, about five Python frames per
+    bracket level."""
+    table = dict(system_table or {})
+    if table.get("I", 1) != 1:
+        raise TypeSyntaxError("label 'I' is the trivial system and must have dimension 1", text, 0)
+    return _ReferenceParser(text, table).parse()
+
+
+def reference_critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord | None:
+    """The critical-set pass from scratch: a full class pass over the tree
+    of x with the pairs fixed, the name index and sorted order rebuilt,
+    and the free inputs restored after every hit."""
+    tree = _flat_tree(x)
+    canonical = canonical_universe(tree.labels)  # the 63-label cap
+    patterns = (1 << len(pairs)) - 1
+    if patterns > PATTERN_BUDGET:
+        raise ValueError(
+            f"{len(pairs)} contraction pairs need {patterns} critical-set patterns; "
+            f"the budget is {PATTERN_BUDGET}"
+        )
+    index = {a.name: i for i, a in enumerate(tree.labels)}
+    pair_index = [(index[a.name], index[b.name]) for a, b in pairs]
+    paired = {i for pair in pair_index for i in pair}
+    order = [index[a.name] for a in canonical]  # sorted-name rank -> label index
+    free = [i for i in order if tree.k[i] and i not in paired]
+    left, right, parent = tree.left, tree.right, tree.parent
+    root = len(left) - 1
+
+    values = [_E] * len(left)  # I is all-ones
+    for i, node in enumerate(tree.leaf_node):
+        values[node] = _D if i in paired else (_D | _E if tree.k[i] else _E)
+    for j, l in enumerate(left):
+        if l != -1:
+            values[j] = _ARROW_CLASSES[values[l] << 3 | values[right[j]]]
+
+    def set_leaf(i: int, classes: int) -> None:
+        node = tree.leaf_node[i]
+        values[node] = classes
+        node = parent[node]
+        while node != -1:
+            reached = _ARROW_CLASSES[values[left[node]] << 3 | values[right[node]]]
+            if reached == values[node]:
+                return
+            values[node] = reached
+            node = parent[node]
+
+    best = None
+    pattern = 0
+    for step in range(patterns + 1):
+        if step:  # Gray-code order: one pair changes its bit per step
+            flip = (step & -step).bit_length() - 1
+            pattern ^= 1 << flip
+            for i in pair_index[flip]:
+                set_leaf(i, _E if pattern >> flip & 1 else _D)
+        if pattern == patterns or not values[root] & _D:
+            continue
+        bits = [1] * len(tree.labels)
+        for n, (a, b) in enumerate(pair_index):
+            bits[a] = bits[b] = pattern >> n & 1
+        for i in free:
+            bits[i] = 0
+        if best is not None and [bits[i] for i in order] >= best:
+            continue
+        for i in free:
+            set_leaf(i, _D)
+            if not values[root] & _D:
+                set_leaf(i, _E)
+                bits[i] = 1
+        word = [bits[i] for i in order]
+        best = word if best is None else min(best, word)
+        for i in free:
+            set_leaf(i, _D | _E)
+    if best is None:
+        return None
+    return BitWord(canonical, sum(bit << r for r, bit in enumerate(best)))
+
+
+def reference_check_equivalence(x: TypeExpr, y: TypeExpr) -> Verdict:
+    """Inclusion both ways, each direction enumerated and aligned."""
+    forward = check_inclusion(x, y)
+    if not forward.admissible:
+        return forward
+    backward = check_inclusion(y, x)
+    if not backward.admissible:
+        return backward
+    return forward

@@ -8,9 +8,13 @@ import pytest
 from hypothesis import given
 
 from hotypes import (
+    Arrow,
     ContractionSpec,
     Label,
     Reason,
+    TRIVIAL,
+    Verdict,
+    WordSet,
     bar,
     build_D,
     check_composition,
@@ -22,12 +26,16 @@ from hotypes import (
     parse_type,
     tensor,
 )
+from hotypes.admissibility import _rename_labels
+from hotypes.type_core import as_bar, as_tensor
 from hotypes.strings import UniverseTooLargeError, critical_set_multi
 
 from conftest import (
     random_type,
     random_type_with_io,
     reference_check_composition,
+    reference_check_equivalence,
+    reference_D,
     supermap_inclusion_form,
     type_exprs,
 )
@@ -215,6 +223,125 @@ class TestCheckEquivalence:
         verdict = check_equivalence(lhs, rhs)
         assert not verdict.admissible
         assert verdict.witness is not None
+
+
+def _rewritten(rng: random.Random, x):
+    """An equivalent type: one node rewritten by x*y = y*x, x->(y->z) =
+    (x*y)->z or ~(x->y) = x*~y; x itself when no node matches."""
+    sites = []
+    for node in x.walk():
+        if (pair := as_tensor(node)) is not None:
+            sites.append((node, tensor(pair[1], pair[0])))
+        if isinstance(node, Arrow) and isinstance(node.right, Arrow):
+            sites.append((node, Arrow(tensor(node.left, node.right.left), node.right.right)))
+        if isinstance(operand := as_bar(node), Arrow):
+            sites.append((node, tensor(operand.left, bar(operand.right))))
+    if not sites:
+        return x
+    target, replacement = rng.choice(sites)
+
+    def rebuild(node):
+        if node is target:
+            return replacement
+        return Arrow(rebuild(node.left), rebuild(node.right)) if isinstance(node, Arrow) else node
+
+    return rebuild(x)
+
+
+def _relabeled_like(rng: random.Random, y, x):
+    """y with its labels renamed, in random order, to those of x; y keeps
+    its own dimensions, so unequal ones make a label mismatch."""
+    names = [a.name for a in elementary_systems(x)]
+    rng.shuffle(names)
+    temporary = _rename_labels(y, {a.name: f"T{i}" for i, a in enumerate(elementary_systems(y))})
+    return _rename_labels(temporary, {f"T{i}": name for i, name in enumerate(names)})
+
+
+def _outcome(check, x, y):
+    """The verdict's JSON, or the message a refused pair raises."""
+    try:
+        return check(x, y).to_json()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _reference_inclusion(x, y) -> Verdict:
+    """Inclusion on the word sets of the arrow-only recursion."""
+    ax, ay = io_partition(x), io_partition(y)
+    if set(ax.elementary) != set(ay.elementary):
+        return Verdict(False, Reason.LABEL_MISMATCH)
+    if ax.lam != ay.lam:
+        return Verdict(False, Reason.LAMBDA_MISMATCH)
+    extra = reference_D(x).difference(reference_D(y))
+    if extra.masks:
+        return Verdict(False, Reason.NOT_INCLUDED, witness=extra.min_word())
+    return Verdict(True, Reason.OK, result_in=ax.inputs_ordered(), result_out=ax.outputs_ordered())
+
+
+class TestQueriesAgainstReferences:
+    """Equivalence with its one-way exit, and inclusion and composition on
+    the joined word sets, against inclusion both ways and the arrow-only
+    recursion."""
+
+    def test_seeded_pairs(self):
+        rng = random.Random(1919)
+        kinds = {"shuffled": 0, "rewritten": 0, "unrelated": 0}
+        verdicts = set()
+        for n in range(1020):
+            dims = (2,) if n % 4 else (2, 3)
+            kind = list(kinds)[n % 3]
+            if kind == "shuffled":
+                blocks = [random_type(rng, max_systems=3, dims=dims) for _ in range(rng.randint(2, 3))]
+                parts = [_disjoint(block, f"_{i}") for i, block in enumerate(blocks)]
+                x = parts[0]
+                for part in parts[1:]:
+                    x = tensor(x, part)
+                rng.shuffle(parts)
+                y = parts[0]
+                for part in parts[1:]:
+                    y = tensor(y, part)
+            elif kind == "rewritten":
+                x = random_type(rng, max_systems=7, dims=dims)
+                y = _rewritten(rng, x)
+            else:
+                x = random_type(rng, max_systems=7, dims=dims)
+                size = len(elementary_systems(x))
+                y = _relabeled_like(rng, random_type(rng, max_systems=size, dims=dims, min_systems=size), x)
+            kinds[kind] += 1
+            got = check_equivalence(x, y).to_json()
+            assert got == reference_check_equivalence(x, y).to_json(), (x, y)
+            for a, b in ((x, y), (y, x)):
+                assert check_inclusion(a, b).to_json() == _reference_inclusion(a, b).to_json(), (a, b)
+            composed = _outcome(check_composition, x, y)
+            assert composed == _outcome(reference_check_composition, x, y), (x, y)
+            verdicts.add((kind, got["reason"]))
+            verdicts.add(("composition", composed["reason"] if isinstance(composed, dict) else "error"))
+        assert min(kinds.values()) == 340
+        assert {("shuffled", "ok"), ("rewritten", "ok"), ("unrelated", "not-included"),
+                ("unrelated", "label-mismatch"), ("composition", "input-input"),
+                ("composition", "error")} <= verdicts
+
+    def test_equal_sizes_end_after_one_direction(self, monkeypatch):
+        calls = []
+        difference = WordSet.difference
+        monkeypatch.setattr(WordSet, "difference", lambda *args: calls.append(args) or difference(*args))
+        channels = [f"(A{i}->B{i})" for i in range(7)]
+        x = parse_type("*".join(channels))
+        y = parse_type("*".join(random.Random(7).sample(channels, 7)))
+        assert check_equivalence(x, y).admissible
+        assert len(calls) == 1
+
+    def test_a_proper_inclusion_runs_the_reverse_test(self, monkeypatch):
+        calls = []
+        difference = WordSet.difference
+        monkeypatch.setattr(WordSet, "difference", lambda *args: calls.append(args) or difference(*args))
+        narrow = parse_type("((A->B)->(C->D))*(E->F)")
+        wide = parse_type("((C*B)->(A*D))*(E->F)")
+        assert check_inclusion(narrow, wide).admissible
+        verdict = check_equivalence(narrow, wide)
+        assert not verdict.admissible and verdict.witness is not None
+        assert verdict == check_inclusion(wide, narrow)
+        assert len(calls) == 4
 
 
 def _disjoint(x, suffix: str = "_q"):

@@ -1,6 +1,7 @@
 """Contraction decided by the three-class pass over the type tree, checked
-against the enumerated critical-set intersection, at sizes enumeration
-cannot reach, on deep input and at the pattern budget."""
+against the enumerated critical-set intersection and against the pass
+from scratch, at sizes enumeration cannot reach, on deep input and at the
+pattern budget."""
 
 from __future__ import annotations
 
@@ -21,14 +22,28 @@ from hotypes import (
     Elementary,
     Label,
     Reason,
+    Relation,
+    Verdict,
     bar,
     check_composition,
     check_contraction,
     crosscheck,
     io_partition,
     parse_type,
+    render_type,
+    verify,
 )
-from conftest import enumerated_critical_word, full_signalling, random_type
+from hotypes.admissibility import _orient_pairs
+from hotypes.strings import _critical_word
+from hotypes.type_core import _flat_tree
+from conftest import (
+    enumerated_critical_word,
+    full_signalling,
+    random_type,
+    random_type_with_io,
+    reference_critical_word,
+    reference_rows,
+)
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -162,3 +177,119 @@ class TestPatternBudget:
         code, _, err = run_cli(capsys, "check", "contraction", channels(32), "--pairs", "A0:B1")
         assert code == 2
         assert "64 labels; the cap is 63" in err
+
+
+def _reference_contraction(x, spec: ContractionSpec) -> Verdict:
+    """``check_contraction`` with the roles read from a fresh io analysis
+    and the pass run from scratch."""
+    analysis = io_partition(x)
+    by_name = {a.name: a for a in analysis.elementary}
+    pairs = [(by_name[a.name], by_name[b.name]) for a, b in spec.pairs]
+    rejection, oriented = _orient_pairs(analysis.inputs, pairs)
+    if rejection is not None:
+        return rejection
+    witness = reference_critical_word(x, oriented)
+    if witness is not None:
+        return Verdict(False, Reason.CRITICAL_SET, witness=witness)
+    contracted = {a.name for pair in oriented for a in pair}
+    return Verdict(
+        True,
+        Reason.OK,
+        result_in=tuple(a for a in analysis.inputs_ordered() if a.name not in contracted),
+        result_out=tuple(a for a in analysis.outputs_ordered() if a.name not in contracted),
+    )
+
+
+def _reference_crosscheck(x) -> bool:
+    return all(
+        (reference_critical_word(x, [(row.source, row.target)]) is None)
+        == (row.relation is Relation.NO_SIGNALLING)
+        for row in reference_rows(x)
+    )
+
+
+def _random_spec(rng: random.Random, x) -> ContractionSpec | None:
+    """Two to four disjoint pairs of equal dimension, any roles."""
+    labels = list(io_partition(x).elementary)
+    rng.shuffle(labels)
+    pairs = []
+    while len(labels) >= 2 and len(pairs) < rng.randint(2, 4):
+        a = labels.pop()
+        partners = [b for b in labels if b.dimension == a.dimension]
+        if partners:
+            b = rng.choice(partners)
+            labels.remove(b)
+            pairs.append((a, b))
+    return ContractionSpec.of(pairs) if len(pairs) >= 2 else None
+
+
+class TestBaseClassStore:
+    """The base class pass kept with each type, copied per call and climbed
+    from the paired leaves, against the pass from scratch."""
+
+    def test_verdicts_match_the_pass_from_scratch(self):
+        rng = random.Random(1909)
+        checked = hits = 0
+        for n in range(520):
+            x = random_type(rng, max_systems=rng.randint(4, 14), dims=(2, 3), min_systems=4)
+            analysis = io_partition(x)
+            specs = [
+                ContractionSpec.of([(a, b)])
+                for a in analysis.inputs_ordered()
+                for b in analysis.outputs_ordered()
+                if a.dimension == b.dimension
+            ]
+            specs += [spec for spec in (_random_spec(rng, x) for _ in range(3)) if spec]
+            rng.shuffle(specs)  # one type object answers them in any order
+            for spec in specs:
+                got = check_contraction(x, spec).to_json()
+                assert got == _reference_contraction(x, spec).to_json(), (x, spec)
+                hits += got["witness"] is not None
+            for a in analysis.inputs_ordered():
+                for b in analysis.outputs_ordered():  # unequal dimensions too
+                    assert _critical_word(x, [(a, b)]) == reference_critical_word(x, [(a, b)])
+            assert crosscheck(x) == _reference_crosscheck(x)
+            checked += len(specs)
+        assert checked > 4000 and 1000 < hits < checked - 1000
+
+    def test_verify_reports_match_the_pass_from_scratch(self, monkeypatch):
+        rng = random.Random(1910)
+        for n in range(12):
+            x = random_type_with_io(rng, max_systems=4, dims=(2, 3))
+            fresh = parse_type(render_type(x), {a.name: a.dimension for a in io_partition(x).elementary})
+            got = verify(x, trials=1, seed=n)
+            with monkeypatch.context() as patch:
+                patch.setattr(hotypes.strings, "_critical_word", reference_critical_word)
+                patch.setattr(hotypes.admissibility, "_critical_word", reference_critical_word)
+                assert verify(fresh, trials=1, seed=n) == got
+
+    def test_an_admissible_pair_climbs_from_its_two_leaves(self, monkeypatch):
+        lookups = []
+
+        class Counted(list):
+            def __getitem__(self, index):
+                lookups.append(index)
+                return super().__getitem__(index)
+
+        def balanced(lo: int, hi: int) -> str:
+            if hi - lo == 1:
+                return f"(A{lo}->B{lo})"
+            mid = (lo + hi) // 2
+            return f"({balanced(lo, mid)}*{balanced(mid, hi)})"
+
+        monkeypatch.setattr(hotypes.strings, "_ARROW_CLASSES", Counted(hotypes.strings._ARROW_CLASSES))
+        x = parse_type(balanced(0, 30))  # depth 17, so climbs and a full pass differ
+        tree = _flat_tree(x)
+        arrows = sum(l != -1 for l in tree.left)
+        depth = 0
+        for node in tree.leaf_node:
+            steps = 0
+            while tree.parent[node] != -1:
+                node, steps = tree.parent[node], steps + 1
+            depth = max(depth, steps)
+        spec = ContractionSpec.from_text("A0:B1", x)
+        assert check_contraction(x, spec).admissible
+        assert len(lookups) >= arrows  # the first call makes the base pass
+        lookups.clear()
+        assert check_contraction(x, ContractionSpec.from_text("A7:B29", x)).admissible
+        assert 0 < len(lookups) <= 2 * (depth + 1) < arrows

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given
 
 import hotypes
+import hotypes.cli
 from hotypes import (
     Arrow,
     ContractionSpec,
     Elementary,
     Label,
     Relation,
+    SignallingVerdict,
     bar,
     check_contraction,
     crosscheck,
@@ -75,6 +78,17 @@ class TestSignals:
             signals(x, "B", "A")
         with pytest.raises(ValueError):
             signals(x, "A", "Z")
+
+
+class TestVerdictRecord:
+    def test_a_verdict_is_a_tuple_of_its_fields(self):
+        x = parse_type("(A->B)*(C->D)")
+        verdict = signals(x, "A", "D")
+        assert SignallingVerdict._fields == ("source", "target", "relation", "enclosing")
+        assert verdict == (Label("A"), Label("D"), Relation.NO_SIGNALLING, minimal_enclosing(x, "A", "D"))
+        assert verdict.to_json() == {
+            "from": "A", "to": "D", "relation": "no-signalling", "enclosing": "((A->B)->~(C->D))",
+        }
 
 
 class TestFullSignalling:
@@ -324,6 +338,18 @@ class TestComplexity:
         assert len(rows) == 400
         full = {(r.source.name, r.target.name) for r in rows if r.relation is Relation.FULL_SIGNALLING}
         assert full == {(f"A{i}", f"B{i}") for i in range(20)}
+
+    def test_bracketed_right_chains_past_the_recursion_limit(self, capsys):
+        code = hotypes.cli.main(["--json", "signalling", _chain(200, "right")])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert code == 0
+        assert [(r["from"], r["to"], r["relation"]) for r in rows] == [
+            (f"S{i}", "S199", "full-signalling") for i in range(199)
+        ]
+        x, renamed = hotypes.relabel_unique(parse_type(_chain(2000, "right")))
+        rows = signalling_matrix(x)
+        assert renamed == {} and len(rows) == 1999
+        assert all(r.relation is Relation.FULL_SIGNALLING and r.target.name == "S1999" for r in rows)
 
     def test_matrix_past_the_word_set_cap(self, monkeypatch):
         # 200 labels, over three times the 63-label word-set cap, with the

@@ -286,7 +286,7 @@ class TestTensorClosedForm:
     def test_matches_recursive_builder(self):
         # the arrow-only recursion of conftest is the independent oracle
         rng = random.Random(41)
-        for n in range(1200):
+        for n in range(1500):
             x = _tensor_type(rng) if n % 3 else random_type(rng, max_systems=7, dims=(2, 3))
             if n % 4 == 0:
                 names = [a.name for a in io_partition(x).elementary]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import pickle
 import random
 import re
 import weakref
@@ -22,6 +23,7 @@ from hotypes import (
     TypeSyntaxError,
     bar,
     check_contraction,
+    crosscheck,
     elementary_systems,
     io_partition,
     k_value,
@@ -38,7 +40,7 @@ from hotypes.oracle import basis_dimension
 from hotypes.strings import _count_arrow, word_count
 from hotypes.type_core import _fold, _lambda_arrow, _tokenize
 
-from conftest import random_type, reference_tokenize, type_exprs
+from conftest import random_type, reference_parse, reference_tokenize, type_exprs
 
 
 def el(name: str, dim: int = 2) -> Elementary:
@@ -136,6 +138,70 @@ def _tokens_or_error(tokenize, text: str):
         return tokenize(text)
     except TypeSyntaxError as exc:
         return str(exc), exc.position, exc.caret_diagram()
+
+
+def _bracketed(x) -> str:
+    """Fully parenthesised surface text, as the benchmark workloads write
+    it: ``~(x)`` and ``(x*y)`` for the sugar, ``(x->y)`` for the rest."""
+    if isinstance(x, Elementary):
+        return x.label.name
+    if x == TRIVIAL:
+        return "I"
+    if (pair := type_core.as_tensor(x)) is not None:
+        return f"({_bracketed(pair[0])}*{_bracketed(pair[1])})"
+    if (operand := type_core.as_bar(x)) is not None:
+        return f"~({_bracketed(operand)})"
+    return f"({_bracketed(x.left)}->{_bracketed(x.right)})"
+
+
+# the tokens of the random strings, ``$`` starting none
+_PIECES = ["A", "B", "~", "*", "(", ")", "->", "I", "C1", "$", " "]
+# a qutrit, and a table that gives B the trivial dimension
+_TABLES = [{}, {"A": 3, "C1": 3}, {"B": 1}]
+
+
+def _parse_or_error(parse, text: str, table: dict):
+    try:
+        x = parse(text, table)
+    except TypeSyntaxError as exc:
+        return str(exc), exc.position, exc.caret_diagram()
+    return render_type(x), x
+
+
+class TestOperatorStacks:
+    """The parser without recursion against recursive descent."""
+
+    def test_matches_recursive_descent_on_seeded_texts(self):
+        rng = random.Random(2026)
+        texts = _seeded_texts(19, 4000)
+        while len(texts) < 10000:
+            x = random_type(rng, max_systems=rng.randint(1, 12), dims=(2, 3))
+            texts.append(_bracketed(x) if rng.random() < 0.7 else render_type(x, sugar=True))
+        while len(texts) < 21000:
+            texts.append("".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 14))))
+        outcomes = []
+        for n, text in enumerate(texts):
+            table = _TABLES[n % 3]
+            outcome = _parse_or_error(parse_type, text, table)
+            assert outcome == _parse_or_error(reference_parse, text, table), text
+            outcomes.append(outcome)
+        parsed = sum(isinstance(outcome[1], type_core.TypeExpr) for outcome in outcomes)
+        assert 5000 < parsed < len(texts) - 5000  # both kinds of text are well represented
+
+    def test_bracketed_chains_past_the_recursion_limit(self):
+        for n in (200, 2000):
+            text = f"A{n - 1}"
+            for i in reversed(range(n - 1)):
+                text = f"(A{i}->{text})"
+            x = parse_type(text)
+            chain = el(f"A{n - 1}")
+            for i in reversed(range(n - 1)):
+                chain = Arrow(el(f"A{i}"), chain)
+            assert render_type(x) == text and hash(x) == hash(chain)
+        assert parse_type("(" * 5000 + "~A" + ")" * 5000) == bar(el("A"))
+        with pytest.raises(TypeSyntaxError, match="expected '\\)'") as err:
+            parse_type("(" * 5000 + "A" + ")" * 4999)
+        assert err.value.position == 10000
 
 
 class TestTokenizer:
@@ -424,7 +490,8 @@ class TestTreeMemo:
         try:
             x = parse_type("(A->B)*(C->D)")
             io_partition(x), signals(x, "A", "B"), minimal_enclosing(x, "A", "D")
-            assert "_flat_tree" in x.__dict__
+            check_contraction(x, ContractionSpec.of([(Label("A"), Label("D"))])), crosscheck(x), hash(x)
+            assert {"_flat_tree", "_roles", "_base_classes", "_hash"} <= set(x.__dict__)
             alive = weakref.ref(x)
             del x
             assert alive() is None
@@ -438,6 +505,18 @@ class TestTreeMemo:
         assert "_flat_tree" in x.__dict__ and "_flat_tree" not in fresh.__dict__
         assert x == fresh and hash(x) == hash(fresh) == before
         assert x != parse_type("(A->C)->B")
+
+    def test_hash_is_the_dataclass_hash_of_the_sides(self):
+        x = parse_type("((A->B)*~C)->D")
+        assert hash(x) == hash((x.left, x.right))
+        assert hash(Arrow(x, x)) == hash((x, x))
+
+    def test_pickling_leaves_the_memos_behind(self):
+        x = parse_type("(A->B)*(C->D)")
+        hash(x), check_contraction(x, ContractionSpec.of([(Label("A"), Label("D"))]))
+        copy = pickle.loads(pickle.dumps(x))
+        assert set(copy.__dict__) == {"left", "right"}
+        assert copy == x and hash(copy) == hash(x)
 
 
 class TestDeepInput:
@@ -456,6 +535,17 @@ class TestDeepInput:
         verdict = signals(x, "A", "B")
         assert verdict.relation is Relation.FULL_SIGNALLING
         assert verdict.enclosing is x
+
+    def test_hash_needs_no_recursion(self):
+        def deep():
+            x = Arrow(el("A"), el("B"))
+            for _ in range(5000):
+                x = bar(x)
+            return x
+
+        x, y = deep(), deep()
+        assert hash(x) == hash(y)
+        assert all("_hash" in node.__dict__ for node in x.walk() if isinstance(node, Arrow))
 
     def test_tree_rebuilds_need_no_recursion(self):
         from hotypes.admissibility import _rename_labels
