@@ -170,23 +170,30 @@ def cmd_signalling(args, dims: dict[str, int]) -> int:
         "crosscheck": agreed,
         "timing_ms": (time.perf_counter() - start) * 1000,
     }
+    # the text lines copy each rendered subterm, so only text output builds them
+    _emit(report, args.json, [] if args.json else _signalling_lines(report["rows"], agreed))
+    if agreed is False:
+        return 1
+    return 0
+
+
+def _signalling_lines(rows: list[dict], agreed: bool | None) -> list[str]:
+    """The text form of the JSON rows, which hold each enclosing subterm
+    rendered once."""
     lines = []
     if rows:
-        width = max(len(r.source.name) for r in rows)
+        width = max(len(row["from"]) for row in rows)
         for row in rows:
-            mark = {"no-signalling": "-/->", "full-signalling": "==>"}[row.relation.value]
+            mark = {"no-signalling": "-/->", "full-signalling": "==>"}[row["relation"]]
             lines.append(
-                f"{row.source.name:>{width}} {mark:>4} {row.target.name:<4} "
-                f"{row.relation.value:<16} via {render_type(row.enclosing, sugar=True)}"
+                f"{row['from']:>{width}} {mark:>4} {row['to']:<4} "
+                f"{row['relation']:<16} via {row['enclosing']}"
             )
     else:
         lines.append("no input/output pairs")
     if agreed is not None:
         lines.append(f"crosscheck: {'agree' if agreed else 'DISAGREE'}")
-    _emit(report, args.json, lines)
-    if agreed is False:
-        return 1
-    return 0
+    return lines
 
 
 def cmd_oracle_verify(args, dims: dict[str, int]) -> int:

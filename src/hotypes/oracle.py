@@ -13,6 +13,7 @@ padding of the no-signalling test are one label-keyed contraction,
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -283,6 +284,21 @@ def delta_basis(x: TypeExpr) -> SubspaceBasis:
 
 # --- deterministic-map sampling -------------------------------------------------
 
+def _uniform_draws(seed: int, n: int) -> np.ndarray:
+    """The first n values of ``2 * random() - 1`` from ``random.Random(seed)``,
+    bit for bit, from one ``randbytes`` call.  ``random()`` is
+    ``((w0 >> 5) * 2^26 + (w1 >> 6)) * 2^-53`` of two consecutive 32-bit
+    words, and ``randbytes`` gives the words in order, little-endian; every
+    step is exact in float64.  Python documents that ``random()`` repeats
+    for a seed, so a seed gives the same draws on every platform."""
+    if seed < 0:
+        # random.Random would silently seed with abs(seed)
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = np.frombuffer(random.Random(seed).randbytes(8 * n), dtype="<u4").reshape(n, 2)
+    high = (words[:, 0] >> 5).astype(np.float64)
+    return 2 * ((high * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0)) - 1
+
+
 def sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> OperatorMatrix:
     """A reproducible deterministic map of type x.
 
@@ -291,9 +307,12 @@ def sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> 
     deviation until the operator is positive: the result is base + D/2^k
     for the first k below 60 with ``eigvalsh(base + D/2^k)[0] >= 0``, and
     base + D/2^60 if there is none.  Magnitude 0 gives the exact
-    identity-proportional map.  The ``basis_dimension(x)`` Gaussian draws
-    fill the words' blocks in word-set order, each block row-major in
-    canonical label order.
+    identity-proportional map.  The ``basis_dimension(x)`` draws, each
+    ``2 * random() - 1`` from ``random.Random(seed)`` times magnitude, fill
+    the words' blocks in word-set order, each block row-major in canonical
+    label order.  They are exact 53-bit fractions on [-1, 1), so a seed
+    gives the same sample on every platform; the halving makes their scale
+    irrelevant.  A negative seed raises ``ValueError``.
 
     The base is lambda I, so base + D/2^j has least eigenvalue
     lambda + mu/2^j and spectral norm at most lambda + |D|/2^j, with mu
@@ -314,7 +333,7 @@ def sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> 
     base = lam * np.eye(_side(labels), dtype=complex)
     if magnitude == 0:
         return OperatorMatrix(labels, base)
-    draws = magnitude * np.random.default_rng(seed).standard_normal(basis_dimension(x))
+    draws = magnitude * _uniform_draws(seed, basis_dimension(x))
     coeffs = np.zeros(_coefficient_shape(labels))
     offset = 0
     for index in _blocks(build_D(x)):

@@ -99,6 +99,27 @@ class Arrow(TypeExpr):
         cached = self.__dict__.get("_hash")
         return cached if cached is not None else _hash_arrows(self)
 
+    def __eq__(self, other: object) -> bool:
+        # the dataclass equality of (left, right), by an explicit stack so
+        # deep types raise no RecursionError; identical sides are equal, and
+        # two cached hashes that differ settle a pair as unequal
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            if x.__class__ is not Arrow or y.__class__ is not Arrow:
+                if x != y:
+                    return False
+                continue
+            hx, hy = x.__dict__.get("_hash"), y.__dict__.get("_hash")
+            if hx is not None and hy is not None and hx != hy:
+                return False
+            todo += [(x.right, y.right), (x.left, y.left)]
+        return True
+
 
 def _hash_arrows(x: Arrow) -> int:
     """Cache the hash of every arrow in x that has none yet, children

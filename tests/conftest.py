@@ -11,8 +11,9 @@ and witness as plain dense loops, the oracle check pair by pair, the
 partial transpose, partial trace and link product as textbook matrix
 operations, the tokenizer as a match loop that re-checks every name, the
 signalling matrix as one climb per pair, the parser as recursive descent,
-the critical-set pass from scratch on every call, and equivalence as
-inclusion both ways."""
+the critical-set pass from scratch on every call, equivalence as
+inclusion both ways, and type equality as the recursive dataclass
+comparison."""
 
 from __future__ import annotations
 
@@ -149,6 +150,18 @@ def type_exprs(draw, max_systems: int = 5, dims: Sequence[int] = (2,)) -> TypeEx
 def type_exprs_with_io(draw, max_systems: int = 5, dims: Sequence[int] = (2,)) -> TypeExpr:
     seed = draw(st.integers(0, 2**32 - 1))
     return random_type_with_io(random.Random(seed), max_systems=max_systems, dims=dims)
+
+
+def reference_equal(x: TypeExpr, y: TypeExpr) -> bool:
+    """The ``==`` that ``dataclass`` generates for the type variants: the
+    same class, then the fields compared in order, recursing on arrows."""
+    if x.__class__ is not y.__class__:
+        return False
+    if isinstance(x, Arrow):
+        return reference_equal(x.left, y.left) and reference_equal(x.right, y.right)
+    if isinstance(x, Elementary):
+        return x.label == y.label
+    return True  # Trivial has no fields
 
 
 def reference_D(x: TypeExpr) -> WordSet:
@@ -386,8 +399,10 @@ def _reference_block(word: BitWord, labels: Sequence[Label]) -> tuple[slice, ...
 
 def reference_sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> OperatorMatrix:
     """The seeded sample of x by the plain halving loop: a coefficient mask
-    built word by word, the draws filled block by block in word-set order,
-    and one spectrum per halving until the operator is positive."""
+    built word by word, the draws (``2 * random() - 1`` from
+    ``random.Random(seed)``, one call each) filled block by block in
+    word-set order, and one spectrum per halving until the operator is
+    positive."""
     analysis = io_partition(x)
     labels = canonical_universe(analysis.elementary)
     lam = float(analysis.lam)
@@ -399,7 +414,8 @@ def reference_sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float 
     allowed = np.zeros(tuple(a.dimension**2 for a in labels), dtype=bool)
     for word in words:
         allowed[_reference_block(word, labels)] = True
-    draws = magnitude * np.random.default_rng(seed).standard_normal(np.count_nonzero(allowed))
+    rng = random.Random(seed)
+    draws = magnitude * np.array([2 * rng.random() - 1 for _ in range(np.count_nonzero(allowed))])
     coeffs = np.zeros(allowed.shape)
     offset = 0
     for word in words:

@@ -10,7 +10,9 @@ import time
 
 import pytest
 
+import hotypes.cli
 import hotypes.oracle
+import hotypes.signalling
 from hotypes.cli import main
 
 
@@ -193,6 +195,52 @@ class TestSignalling:
         assert code == 0
         assert report["crosscheck"] is True
 
+    def test_both_output_forms_are_pinned(self, capsys):
+        argv = ["signalling", "((A->B)->(C->D))*~Ex", "--crosscheck"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (
+            " B -/-> A    no-signalling    via (A->B)\n"
+            " B  ==> D    full-signalling  via ((A->B)->(C->D))\n"
+            " C  ==> A    full-signalling  via ((A->B)->(C->D))\n"
+            " C  ==> D    full-signalling  via (C->D)\n"
+            "Ex -/-> A    no-signalling    via (((A->B)->(C->D))->~~Ex)\n"
+            "Ex -/-> D    no-signalling    via (((A->B)->(C->D))->~~Ex)\n"
+            "crosscheck: agree\n"
+        )
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == 0
+        rows = [
+            {"from": a, "to": b, "relation": r, "enclosing": e}
+            for a, b, r, e in [
+                ("B", "A", "no-signalling", "(A->B)"),
+                ("B", "D", "full-signalling", "((A->B)->(C->D))"),
+                ("C", "A", "full-signalling", "((A->B)->(C->D))"),
+                ("C", "D", "full-signalling", "(C->D)"),
+                ("Ex", "A", "no-signalling", "(((A->B)->(C->D))->~~Ex)"),
+                ("Ex", "D", "no-signalling", "(((A->B)->(C->D))->~~Ex)"),
+            ]
+        ]
+        report = {"command": "signalling", "input_types": [argv[1]], "rows": rows, "crosscheck": True,
+                  "timing_ms": json.loads(out)["timing_ms"]}
+        assert out == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("form", [["--json"], []])
+    def test_each_enclosing_subterm_is_rendered_once(self, capsys, monkeypatch, form):
+        calls = []
+        original = hotypes.signalling.render_type
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hotypes.signalling, "render_type", counting)
+        monkeypatch.setattr(hotypes.cli, "render_type", counting)
+        chain = "->".join(f"A{i}" for i in range(400))
+        code, out, _ = run_cli(capsys, *form, "signalling", chain)
+        assert code == 0
+        assert len(calls) == 399 == (len(json.loads(out)["rows"]) if form else len(out.splitlines()))
+
 
 class TestOracleVerify:
     def test_admissible_pair_trials(self, capsys):
@@ -316,6 +364,11 @@ class TestOracleVerify:
         code, out, err = run_cli(capsys, "oracle", "verify", "(A->B)*(C->D)", option, value)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and reason in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "verify", "(A->B)*(C->D)", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be non-negative, got -1\n"
 
     def test_eight_qubits_pass_the_three_way_check(self, capsys):
         code, out, err = run_cli(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -47,6 +49,23 @@ def test_core_module_imports_no_numerics(module):
 
 def test_the_guard_sees_the_oracle_imports():
     assert {"numpy", "hotypes.strings"} <= imported_modules("oracle")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        "from hotypes.cli import main\n"
+        "assert main(['--json', 'oracle', 'verify', '(A->B)*(C->D)', '--trials', '2']) == 0",
+        "import hotypes\n"
+        "assert hotypes.verify(hotypes.parse_type('(A->B)*(C->D)'), trials=2).failures == 0",
+    ],
+    ids=["cli", "library"],
+)
+def test_sampling_leaves_numpy_random_unimported(run):
+    # the samples draw from the standard library's generator
+    probe = run + "\nimport sys\nprint('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 PUBLIC = {

@@ -36,6 +36,7 @@ from hotypes import (
 from hotypes.oracle import (
     _to_coefficients,
     _to_matrix,
+    _uniform_draws,
     basis_dimension,
     basis_for_words,
     identity_operator,
@@ -180,7 +181,8 @@ class TestDenseOracle:
             elements = dense_basis(build_D(x))
             lam = float(analysis.lam)
             side = int(np.prod([a.dimension for a in analysis.elementary]))
-            coeffs = np.random.default_rng(seed).standard_normal(len(elements))
+            rng = random.Random(seed)
+            coeffs = [2 * rng.random() - 1 for _ in elements]
             deviation = np.zeros((side, side), dtype=complex)
             for c, element in zip(coeffs, elements):
                 deviation += c * element
@@ -246,6 +248,29 @@ class TestSampling:
         x = parse_type("(A->B)->(C->D)")
         for seed in range(5):
             assert sample_deterministic(x, seed=seed, magnitude=4.0).min_eigenvalue() >= 0
+
+    def test_first_draws_are_pinned(self):
+        # exact floats: 2 * random() - 1 of random.Random(seed)
+        assert _uniform_draws(0, 4).tolist() == [
+            0.6888437030500962, 0.515908805880605, -0.15885683833831, -0.4821664994140733
+        ]
+        assert _uniform_draws(1, 4).tolist() == [
+            -0.7312715117751976, 0.6948674738744653, 0.5275492379532281, -0.4898619485211566
+        ]
+
+    def test_draws_are_the_random_loop_bit_for_bit(self):
+        for seed in (0, 1, 7, 2**40 + 3, 10**30):
+            for n in (0, 1, 2, 15, 4095):
+                rng = random.Random(seed)
+                expected = [2 * rng.random() - 1 for _ in range(n)]
+                assert _uniform_draws(seed, n).tolist() == expected
+
+    def test_negative_seed_is_refused(self):
+        x = parse_type("A->B")
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            sample_deterministic(x, seed=-1)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            verify(parse_type("(A->B)*(C->D)"), trials=2, seed=-3)
 
 
 class TestLinkProduct:

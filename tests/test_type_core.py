@@ -40,7 +40,7 @@ from hotypes.oracle import basis_dimension
 from hotypes.strings import _count_arrow, word_count
 from hotypes.type_core import _fold, _lambda_arrow, _tokenize
 
-from conftest import random_type, reference_parse, reference_tokenize, type_exprs
+from conftest import random_type, reference_equal, reference_parse, reference_tokenize, type_exprs
 
 
 def el(name: str, dim: int = 2) -> Elementary:
@@ -511,6 +511,29 @@ class TestTreeMemo:
         assert hash(x) == hash((x.left, x.right))
         assert hash(Arrow(x, x)) == hash((x, x))
 
+    def test_equality_matches_the_dataclass_reference(self):
+        rng = random.Random(2020)
+        equal = unequal = 0
+        for _ in range(1200):
+            # a second seeded type of the same size often shares its
+            # shape and names, so unequal pairs include near misses
+            seed, size = rng.randint(0, 10**6), rng.randint(1, 7)
+            x = random_type(random.Random(seed), max_systems=size, min_systems=size)
+            for y in (
+                random_type(random.Random(seed), max_systems=size, min_systems=size),
+                random_type(random.Random(seed + 1), max_systems=size, min_systems=size),
+                random_type(rng, max_systems=size, dims=(2, 3)),
+            ):
+                for node in (x, y):  # some pairs have cached hashes
+                    if rng.random() < 0.5:
+                        hash(node)
+                expected = reference_equal(x, y)
+                assert (x == y) is expected and (y == x) is expected
+                assert (x != y) is not expected
+                equal += expected
+                unequal += not expected
+        assert equal >= 1000 and unequal >= 1000
+
     def test_pickling_leaves_the_memos_behind(self):
         x = parse_type("(A->B)*(C->D)")
         hash(x), check_contraction(x, ContractionSpec.of([(Label("A"), Label("D"))]))
@@ -546,6 +569,20 @@ class TestDeepInput:
         x, y = deep(), deep()
         assert hash(x) == hash(y)
         assert all("_hash" in node.__dict__ for node in x.walk() if isinstance(node, Arrow))
+
+    def test_equality_needs_no_recursion(self):
+        def deep():
+            x = Arrow(el("A"), el("B"))
+            for _ in range(5000):
+                x = bar(x)
+            return x
+
+        for cached in (False, True):
+            x, y = deep(), deep()
+            if cached:
+                hash(x), hash(y)
+            assert x == y and y == x
+            assert x != bar(bar(y)) and bar(bar(y)) != x
 
     def test_tree_rebuilds_need_no_recursion(self):
         from hotypes.admissibility import _rename_labels
