@@ -46,19 +46,13 @@ from .signalling import (
 from .oracle import (
     OperatorMatrix,
     SubspaceBasis,
-    channel_violation_margin,
     delta_basis,
-    dump_operator,
     herm_basis,
-    is_channel,
-    is_nosignalling,
     link_product,
     membership,
     numeric_contraction,
-    phi_operator,
     sample_deterministic,
     verify,
-    violation_witness,
 )
 
 __all__ = [
@@ -75,9 +69,7 @@ __all__ = [
     # signalling
     "Relation", "SignallingVerdict", "crosscheck", "signalling_matrix", "signals",
     # numerics
-    "OperatorMatrix", "SubspaceBasis", "channel_violation_margin", "delta_basis",
-    "dump_operator", "herm_basis", "is_channel", "is_nosignalling", "link_product",
-    "membership", "numeric_contraction", "phi_operator", "sample_deterministic",
-    "verify", "violation_witness",
+    "OperatorMatrix", "SubspaceBasis", "delta_basis", "herm_basis", "link_product",
+    "membership", "numeric_contraction", "sample_deterministic", "verify",
 ]
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .strings import BitWord, _critical_word, _universe, build_D
 from .type_core import (
@@ -45,8 +45,7 @@ class Reason(str, Enum):
     NOT_INCLUDED = "not-included"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a decision procedure.
 
     ``witness`` is present exactly when the rejection came from a word-level

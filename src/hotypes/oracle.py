@@ -4,7 +4,9 @@ Operators live on the tensor product of their labels' Hilbert spaces in
 canonical (sorted) label order.  Everything here is exact linear algebra
 at desk scale: seeded sampling of deterministic maps on product-basis
 coefficients, where a word subspace is a mask, the link product, and the
-channel and no-signalling tests used to validate combinatorial verdicts.
+channel and no-signalling residuals ``verify`` reads to validate
+combinatorial verdicts.  The yes/no predicates over those residuals are
+test references, not part of this module.
 Partial trace, link product, numeric contraction and the identity
 padding of the no-signalling test are one label-keyed contraction,
 ``_contract``, that ties the ket and bra axes of matching labels.
@@ -64,20 +66,6 @@ class OperatorMatrix:
         dims = _dims(self.labels)
         return self.data.reshape(dims + dims)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.data)[0])
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.linalg.norm(self.data - self.data.conj().T, 2))
-
-
-def identity_operator(labels: Iterable[Label]) -> OperatorMatrix:
-    ordered = canonical_universe(labels)
-    return OperatorMatrix(ordered, np.eye(_side(ordered), dtype=complex))
-
 
 def _contract(
     out_labels: tuple[Label, ...],
@@ -134,19 +122,6 @@ def link_product(r: OperatorMatrix, s: OperatorMatrix) -> OperatorMatrix:
         + tuple(a for a in s.labels if a.name not in shared)
     )
     return _contract(out_labels, r, s)
-
-
-def phi_operator(a: Label, b: Label) -> OperatorMatrix:
-    """Unnormalized maximally entangled operator sum_ij |ii><jj| on (a, b),
-    with the computational-basis identification of the two spaces."""
-    if a.dimension != b.dimension:
-        raise ValueError(f"{a.name} and {b.name} must have equal dimensions")
-    d = a.dimension
-    data = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            data[i * d + i, j * d + j] = 1.0
-    return OperatorMatrix(canonical_universe((a, b)), data)
 
 
 def numeric_contraction(op: OperatorMatrix, a: Label | str, b: Label | str) -> OperatorMatrix:
@@ -284,6 +259,12 @@ def delta_basis(x: TypeExpr) -> SubspaceBasis:
 
 # --- deterministic-map sampling -------------------------------------------------
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        # random.Random would silently seed with abs(seed)
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def _uniform_draws(seed: int, n: int) -> np.ndarray:
     """The first n values of ``2 * random() - 1`` from ``random.Random(seed)``,
     bit for bit, from one ``randbytes`` call.  ``random()`` is
@@ -291,9 +272,7 @@ def _uniform_draws(seed: int, n: int) -> np.ndarray:
     words, and ``randbytes`` gives the words in order, little-endian; every
     step is exact in float64.  Python documents that ``random()`` repeats
     for a seed, so a seed gives the same draws on every platform."""
-    if seed < 0:
-        # random.Random would silently seed with abs(seed)
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_seed(seed)
     words = np.frombuffer(random.Random(seed).randbytes(8 * n), dtype="<u4").reshape(n, 2)
     high = (words[:, 0] >> 5).astype(np.float64)
     return 2 * ((high * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0)) - 1
@@ -357,7 +336,7 @@ def sample_deterministic(x: TypeExpr, seed: int = 0, magnitude: float = 1.0) -> 
     return OperatorMatrix(labels, base + deviation)
 
 
-# --- validation predicates -------------------------------------------------------
+# --- channel and no-signalling residuals -----------------------------------------
 
 def _as_label_tuple(known: Iterable[Label], labels: Iterable[Label | str]) -> tuple[Label, ...]:
     by_name = {a.name: a for a in known}
@@ -408,6 +387,7 @@ def _signalling_gap(reduced: OperatorMatrix, a: Label | str) -> np.ndarray:
     return reduced.data - target.data
 
 
+# kept for bench/tracing.py, whose LAYERS wraps it by name (test_imports pins it)
 def channel_defects(
     op: OperatorMatrix, in_labels: Iterable[Label | str], out_labels: Iterable[Label | str]
 ) -> tuple[float, float]:
@@ -424,24 +404,7 @@ def channel_defects(
     return max(0.0, -least), deviation
 
 
-def is_channel(
-    op: OperatorMatrix,
-    in_labels: Iterable[Label | str],
-    out_labels: Iterable[Label | str],
-    tol: float = 1e-9,
-) -> bool:
-    negativity, deviation = channel_defects(op, in_labels, out_labels)
-    return negativity <= tol and deviation <= tol
-
-
-def channel_violation_margin(
-    op: OperatorMatrix, in_labels: Iterable[Label | str], out_labels: Iterable[Label | str]
-) -> float:
-    """How badly the channel conditions fail (zero for a valid channel)."""
-    negativity, deviation = channel_defects(op, in_labels, out_labels)
-    return max(negativity, deviation)
-
-
+# kept for bench/tracing.py, whose LAYERS wraps it by name (test_imports pins it)
 def nosignalling_defect(
     op: OperatorMatrix,
     in_labels: Iterable[Label | str],
@@ -460,17 +423,6 @@ def nosignalling_defect(
     return defect
 
 
-def is_nosignalling(
-    op: OperatorMatrix,
-    in_labels: Iterable[Label | str],
-    out_labels: Iterable[Label | str],
-    a: Label | str,
-    b: Label | str,
-    tol: float = 1e-9,
-) -> bool:
-    return nosignalling_defect(op, in_labels, out_labels, a, b) <= tol
-
-
 def membership_defects(x: TypeExpr, op: OperatorMatrix) -> dict[str, float]:
     """Deviation of op from the deterministic set of x, component by component:
     hermiticity, negativity, identity coefficient, and the residual outside
@@ -480,15 +432,15 @@ def membership_defects(x: TypeExpr, op: OperatorMatrix) -> dict[str, float]:
     if labels != op.labels:
         raise ValueError("operator labels do not match the type's systems")
     lam = float(analysis.lam)
-    herm = op.hermiticity_defect()
-    negativity = max(0.0, -op.min_eigenvalue())
-    coeff = op.trace().real / op.side
+    (herm,) = _spectral_norms([op.data - op.data.conj().T])
+    (least,) = _least_eigenvalues([op.data])
+    coeff = float(np.trace(op.data).real) / op.side
     basis = delta_basis(x)
     deviation = OperatorMatrix(labels, op.data - lam * np.eye(op.side))
     residual = float(np.linalg.norm(_to_coefficients(deviation)[~basis.allowed]))
     return {
         "hermiticity": herm,
-        "negativity": negativity,
+        "negativity": max(0.0, -least),
         "lambda_deviation": abs(coeff - lam),
         "subspace_residual": residual,
     }
@@ -502,6 +454,7 @@ def membership(x: TypeExpr, op: OperatorMatrix, tol: float = 1e-9) -> bool:
 
 # --- explicit violations -----------------------------------------------------------
 
+# kept for bench/tracing.py, whose LAYERS wraps it by name (test_imports pins it)
 def violation_witness(x: TypeExpr, a: Label | str, b: Label | str) -> OperatorMatrix:
     """A deterministic map of x whose (a, b) contraction is not a channel.
 
@@ -642,8 +595,9 @@ def verify(
     critical-set verdict; for an admissible pair, the channel and
     no-signalling residuals on the samples ``seed + trial``, each drawn
     once for all pairs; for an inadmissible pair, the channel violation of
-    the witness map.  A tolerance that is not finite and positive, or a
-    negative trial count, raises ``ValueError``.
+    the witness map.  A tolerance that is not finite and positive, a
+    negative trial count or a negative seed raises ``ValueError``, before
+    any pair is tried.
 
     The residuals are those ``channel_defects`` and ``nosignalling_defect``
     give pair by pair, bit for bit, at less cost: each sample is traced
@@ -655,6 +609,7 @@ def verify(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
+    _check_seed(seed)
     analysis, roles = io_partition(x), _roles(x)
     inputs, outputs = roles.inputs, roles.outputs
     lambda_ok = analysis.lam == Fraction(1, _side(outputs))
@@ -712,13 +667,3 @@ def verify(
             entry["error"] = "no-signalling residual above tolerance"
     failures = int(not (lambda_ok and basis_ok)) + sum("error" in entry for entry in entries)
     return VerifyReport(lambda_ok, basis_ok, basis_size, tuple(entries), failures)
-
-
-# --- plain-text dump ----------------------------------------------------------------
-
-def dump_operator(op: OperatorMatrix) -> str:
-    """Side then row-major real/imaginary pairs, one row per line."""
-    lines = [str(op.side)]
-    for row in op.data:
-        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-    return "\n".join(lines)

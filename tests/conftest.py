@@ -13,7 +13,9 @@ operations, the tokenizer as a match loop that re-checks every name, the
 signalling matrix as one climb per pair, the parser as recursive descent,
 the critical-set pass from scratch on every call, equivalence as
 inclusion both ways, and type equality as the recursive dataclass
-comparison."""
+comparison.  The identity and entangled-pair operators and the yes/no
+channel and no-signalling predicates over the oracle's residuals live
+here too, since only tests use them."""
 
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ from hotypes.oracle import (
     basis_dimension,
     basis_for_words,
     channel_defects,
-    channel_violation_margin,
     nosignalling_defect,
     numeric_contraction,
     violation_witness,
@@ -455,6 +456,53 @@ def reference_violation_witness(x: TypeExpr, a: Label, b: Label) -> OperatorMatr
         epsilon /= 2
         data = lam * np.eye(side) + epsilon * factor
     return OperatorMatrix(labels, data)
+
+
+def identity_operator(labels: Iterable[Label]) -> OperatorMatrix:
+    ordered = canonical_universe(labels)
+    return OperatorMatrix(ordered, np.eye(_side(ordered), dtype=complex))
+
+
+def phi_operator(a: Label, b: Label) -> OperatorMatrix:
+    """Unnormalized maximally entangled operator sum_ij |ii><jj| on (a, b),
+    with the computational-basis identification of the two spaces."""
+    if a.dimension != b.dimension:
+        raise ValueError(f"{a.name} and {b.name} must have equal dimensions")
+    d = a.dimension
+    data = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            data[i * d + i, j * d + j] = 1.0
+    return OperatorMatrix(canonical_universe((a, b)), data)
+
+
+def is_channel(
+    op: OperatorMatrix,
+    in_labels: Iterable[Label | str],
+    out_labels: Iterable[Label | str],
+    tol: float = 1e-9,
+) -> bool:
+    negativity, deviation = channel_defects(op, in_labels, out_labels)
+    return negativity <= tol and deviation <= tol
+
+
+def channel_violation_margin(
+    op: OperatorMatrix, in_labels: Iterable[Label | str], out_labels: Iterable[Label | str]
+) -> float:
+    """How badly the channel conditions fail (zero for a valid channel)."""
+    negativity, deviation = channel_defects(op, in_labels, out_labels)
+    return max(negativity, deviation)
+
+
+def is_nosignalling(
+    op: OperatorMatrix,
+    in_labels: Iterable[Label | str],
+    out_labels: Iterable[Label | str],
+    a: Label | str,
+    b: Label | str,
+    tol: float = 1e-9,
+) -> bool:
+    return nosignalling_defect(op, in_labels, out_labels, a, b) <= tol
 
 
 def partial_transpose(op: OperatorMatrix, labels: Iterable[Label | str]) -> OperatorMatrix:

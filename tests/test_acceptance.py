@@ -18,7 +18,6 @@ from hotypes import (
     ContractionSpec,
     bar,
     build_D,
-    channel_violation_margin,
     check_contraction,
     check_equivalence,
     check_inclusion,
@@ -30,15 +29,16 @@ from hotypes import (
     parse_type,
     sample_deterministic,
     tensor,
-    violation_witness,
 )
-from hotypes.oracle import is_channel, membership_defects
+from hotypes.oracle import membership_defects, violation_witness
 from hotypes.strings import WordSet, canonical_universe, concat, critical_set_multi
 from hotypes.type_core import Arrow, Elementary, Label, TRIVIAL, Trivial
 
 from conftest import (
     all_ones,
+    channel_violation_margin,
     full_set,
+    is_channel,
     random_type,
     random_type_with_io,
     traceless_set,
@@ -233,7 +233,7 @@ def test_criterion_8_numeric_laws():
         for a in analysis.inputs:
             expected *= a.dimension
         sample = sample_deterministic(x, seed=rng.randint(0, 10**6))
-        assert abs(sample.trace().real - expected) < RESIDUAL_TOL
+        assert abs(np.trace(sample.data).real - expected) < RESIDUAL_TOL
 
     for _ in range(1000):
         analysis = io_partition(random_type(rng, max_systems=8, dims=(2, 3, 4)))

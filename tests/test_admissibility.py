@@ -77,6 +77,16 @@ class TestCheckContraction:
         joint = check_contraction(x, spec_for(x, ("C", "B"), ("A", "D")))
         assert not joint.admissible
 
+    def test_a_verdict_is_a_tuple_of_its_fields(self):
+        x = parse_type("(A->B)*(C->D)")
+        verdict = check_contraction(x, spec_for(x, ("C", "B")))
+        assert Verdict._fields == ("admissible", "reason", "witness", "result_in", "result_out")
+        assert verdict == (True, Reason.OK, None, (Label("A"),), (Label("D"),))
+        assert Verdict(False, Reason.LABEL_MISMATCH) == (False, Reason.LABEL_MISMATCH, None, None, None)
+        assert verdict.to_json() == {
+            "admissible": True, "reason": "ok", "witness": None, "result_in": ["A"], "result_out": ["D"],
+        }
+
     def test_joint_verdict_depends_on_the_pairing_not_just_the_label_sets(self):
         # three independent channels; contracting {A,C} against {D,F} is a
         # sequential chain under one pairing and hits an intra-channel loop

@@ -365,8 +365,14 @@ class TestOracleVerify:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and reason in err
 
-    def test_negative_seed_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "oracle", "verify", "(A->B)*(C->D)", "--seed", "-1")
+    @pytest.mark.parametrize(
+        "args",
+        [["(A->B)"], ["(A->B)*(C->D)"], ["(A->B)*(C->D)", "--trials", "0"]],
+        ids=["witness-only", "sampled", "no-trials"],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, args):
+        # refused before any pair, whether or not a sample would be drawn
+        code, out, err = run_cli(capsys, "oracle", "verify", *args, "--seed", "-1")
         assert (code, out) == (2, "")
         assert err == "error: seed must be non-negative, got -1\n"
 

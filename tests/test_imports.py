@@ -1,8 +1,10 @@
 """The package's import surface.  The exact core stays free of numerics:
 the type, word-set, decision and signalling modules import neither numpy
-nor the dense oracle.  ``__all__`` is the public API.  The benchmark's
-layer tracer wraps package functions by name, so the names it lists must
-keep resolving."""
+nor the dense oracle.  ``__all__`` is the public API, and the README's
+import block runs against it.  The benchmark's layer tracer wraps package
+functions by name, so the names it lists must keep resolving.  Every
+other public definition in the package has a caller in ``src/`` or
+``scripts/``; helpers only tests use live in ``tests/conftest.py``."""
 
 from __future__ import annotations
 
@@ -19,7 +21,8 @@ import hotypes
 import hotypes.oracle
 
 PACKAGE = Path(hotypes.__file__).parent
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACING = REPO / "bench" / "tracing.py"
 CORE = ("type_core", "strings", "admissibility", "signalling")
 FORBIDDEN = ("numpy", "hotypes.oracle")
 
@@ -82,10 +85,8 @@ PUBLIC = {
     # signalling
     "Relation", "SignallingVerdict", "crosscheck", "signalling_matrix", "signals",
     # numerics
-    "OperatorMatrix", "SubspaceBasis", "channel_violation_margin", "delta_basis",
-    "dump_operator", "herm_basis", "is_channel", "is_nosignalling", "link_product",
-    "membership", "numeric_contraction", "phi_operator", "sample_deterministic",
-    "verify", "violation_witness",
+    "OperatorMatrix", "SubspaceBasis", "delta_basis", "herm_basis", "link_product",
+    "membership", "numeric_contraction", "sample_deterministic", "verify",
 }
 
 
@@ -128,3 +129,45 @@ def test_benchmark_word_set_probes():
         x = hotypes.parse_type(text, dims)
         words = hotypes.build_D(x)
         assert len(hotypes.oracle.basis_for_words(words)) == hotypes.oracle.basis_dimension(x)
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_definition_has_a_user():
+    """A top-level public function or class of the package is exported,
+    traced by the benchmark, or used by another definition in ``src/`` or
+    ``scripts/``."""
+    traced = {(module, name) for module, names in traced_layers().items() for name in names}
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "scripts").glob("*.py"))
+    used: set[str] = set()
+    public: list[tuple[str, str]] = []
+    for path in sources:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if path.parent == PACKAGE and not node.name.startswith("_"):
+                    public.append((path.stem, node.name))
+                # a definition's references to its own name do not count
+                used |= _referenced_names(node) - {node.name}
+            else:
+                used |= _referenced_names(node)
+    assert public
+    unused = [
+        f"hotypes.{module}.{name}"
+        for module, name in public
+        if name not in hotypes.__all__ and name not in used and (module, name) not in traced
+    ]
+    assert unused == []
+
+
+def test_readme_library_block_runs():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library entry points", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from hotypes import" in block
+    exec(block, {})

@@ -1,4 +1,4 @@
-"""Numerical ground truth: bases, sampling, link product, validation tests."""
+"""Numerical ground truth: bases, sampling, link product, residuals."""
 
 from __future__ import annotations
 
@@ -16,22 +16,16 @@ from hotypes import (
     Label,
     OperatorMatrix,
     build_D,
-    channel_violation_margin,
     check_contraction,
     delta_basis,
-    dump_operator,
     herm_basis,
     io_partition,
-    is_channel,
-    is_nosignalling,
     link_product,
     membership,
     numeric_contraction,
     parse_type,
-    phi_operator,
     sample_deterministic,
     verify,
-    violation_witness,
 )
 from hotypes.oracle import (
     _to_coefficients,
@@ -39,15 +33,20 @@ from hotypes.oracle import (
     _uniform_draws,
     basis_dimension,
     basis_for_words,
-    identity_operator,
     membership_defects,
     nosignalling_defect,
     channel_defects,
     partial_trace,
+    violation_witness,
 )
 
 from conftest import (
+    channel_violation_margin,
     contract_set,
+    identity_operator,
+    is_channel,
+    is_nosignalling,
+    phi_operator,
     reference_verify,
     dense_basis,
     enumerated_basis_dimension,
@@ -229,7 +228,7 @@ class TestSampling:
             for a in analysis.inputs:
                 expected *= a.dimension
             sample = sample_deterministic(x, seed=rng.randint(0, 999))
-            assert abs(sample.trace().real - expected) < RESIDUAL_TOL
+            assert abs(np.trace(sample.data).real - expected) < RESIDUAL_TOL
 
     def test_samples_are_members_by_construction(self):
         rng = random.Random(113)
@@ -247,7 +246,8 @@ class TestSampling:
     def test_positive_semidefinite(self):
         x = parse_type("(A->B)->(C->D)")
         for seed in range(5):
-            assert sample_deterministic(x, seed=seed, magnitude=4.0).min_eigenvalue() >= 0
+            sample = sample_deterministic(x, seed=seed, magnitude=4.0)
+            assert np.linalg.eigvalsh(sample.data)[0] >= 0
 
     def test_first_draws_are_pinned(self):
         # exact floats: 2 * random() - 1 of random.Random(seed)
@@ -271,6 +271,10 @@ class TestSampling:
             sample_deterministic(x, seed=-1)
         with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
             verify(parse_type("(A->B)*(C->D)"), trials=2, seed=-3)
+        # refused before any pair, so also where no sample would be drawn
+        for text, trials in (("A->B", 2), ("(A->B)*(C->D)", 0)):
+            with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+                verify(parse_type(text), trials=trials, seed=-1)
 
 
 class TestLinkProduct:
@@ -311,7 +315,7 @@ class TestLinkProduct:
         for _ in range(10):
             r = sample_deterministic(parse_type("A->B"), seed=rng.randint(0, 99))
             s = sample_deterministic(parse_type("B->C"), seed=rng.randint(0, 99))
-            assert link_product(r, s).min_eigenvalue() >= -ALGEBRA_TOL
+            assert np.linalg.eigvalsh(link_product(r, s).data)[0] >= -ALGEBRA_TOL
 
     def test_trace_law_for_composed_pairs(self):
         # the linked trace counts only the uncontracted input dimensions
@@ -323,7 +327,7 @@ class TestLinkProduct:
         for left_text, right_text, expected in cases:
             r = sample_deterministic(parse_type(left_text), seed=21)
             s = sample_deterministic(parse_type(right_text), seed=22)
-            assert link_product(r, s).trace().real == pytest.approx(expected, abs=RESIDUAL_TOL)
+            assert np.trace(link_product(r, s).data).real == pytest.approx(expected, abs=RESIDUAL_TOL)
 
     def test_shared_dimension_mismatch_rejected(self):
         r = identity_operator([Label("A", 2)])
@@ -519,6 +523,22 @@ class TestMembership:
         assert defects["subspace_residual"] > 1e-3
         assert not membership(x, op)
 
+    def test_defects_equal_the_one_matrix_formulas(self):
+        # the stacked spectrum helpers give each matrix the bits of its own
+        # eigvalsh or 2-norm call
+        rng = random.Random(149)
+        for seed in range(40):
+            x = random_type(rng, max_systems=4, dims=(2, 3) if seed % 4 == 0 else (2,))
+            sample = sample_deterministic(x, seed=seed)
+            noise = np.random.default_rng(seed).standard_normal((2,) + sample.data.shape)
+            data = sample.data + 1e-3 * (noise[0] + 1j * noise[1])
+            defects = membership_defects(x, OperatorMatrix(sample.labels, data))
+            lam = float(io_partition(x).lam)
+            assert defects["hermiticity"] == float(np.linalg.norm(data - data.conj().T, 2))
+            assert defects["negativity"] == max(0.0, -float(np.linalg.eigvalsh(data)[0]))
+            assert defects["lambda_deviation"] == abs(np.trace(data).real / len(data) - lam)
+            assert defects["hermiticity"] > 0
+
     def test_wrong_labels_rejected(self):
         with pytest.raises(ValueError):
             membership(parse_type("A->B"), identity_operator([Label("A")]))
@@ -687,16 +707,8 @@ class TestOperatorUtilities:
     def test_hermiticity_preserved_by_operations(self):
         r = sample_deterministic(parse_type("A->B"), seed=11)
         s = sample_deterministic(parse_type("B->C"), seed=12)
-        assert link_product(r, s).hermiticity_defect() < ALGEBRA_TOL
-        assert partial_trace(r, ["B"]).hermiticity_defect() < ALGEBRA_TOL
-
-    def test_dump_format(self):
-        op = identity_operator([Label("A")])
-        text = dump_operator(op)
-        lines = text.splitlines()
-        assert lines[0] == "2"
-        assert len(lines) == 3
-        assert lines[1].split() == ["1", "0", "0", "0"]
+        for op in (link_product(r, s), partial_trace(r, ["B"])):
+            assert np.linalg.norm(op.data - op.data.conj().T, 2) < ALGEBRA_TOL
 
 
 class TestVerifyArguments:
