@@ -5,7 +5,8 @@ canonical (sorted) label order.  Everything here is exact linear algebra
 at desk scale: seeded sampling of deterministic maps on product-basis
 coefficients, where a word subspace is a mask, the link product, and the
 channel and no-signalling residuals ``verify`` reads to validate
-combinatorial verdicts.  The yes/no predicates over those residuals are
+combinatorial verdicts: from dense samples, and in closed form from the
+diagonal witness maps.  The yes/no predicates over those residuals are
 test references, not part of this module.
 Partial trace, link product, numeric contraction and the identity
 padding of the no-signalling test are one label-keyed contraction,
@@ -189,7 +190,7 @@ def _check_bytes(labels: Sequence[Label]) -> None:
     """Refuse when the dense operators held at once exceed ``BASIS_BYTES``.
     Counts eight side² complex operators.  At 10 qubits (five channels)
     ``verify`` with two trials held at most 3.7 of them in numpy arrays and
-    grew peak RSS by 5.0 of them, allocator reuse included; sampling alone
+    grew peak RSS by 5.5 of them, allocator reuse included; sampling alone
     held 3.7 and grew it by 5.0, and a trial's residuals peaked at 3.1.  A
     trial holds its sample, the sample's reductions to the inputs and one
     output (at most one operator together), a chunk of contractions and
@@ -537,12 +538,12 @@ def _stacked_defects(jobs: Sequence[_Job]) -> list[tuple[float, float, float]]:
 
 
 def _defects(jobs: Iterable[_Job], side: int) -> list[tuple[float, float, float]]:
-    """(negativity, marginal deviation, signalling defect) of each job, as
-    ``channel_defects`` of the contracted map and ``nosignalling_defect``
-    of the whole map give them.  Jobs are drawn lazily into chunks, each
-    closed once its matrices reach the bytes of one side × side operator
-    and read with one stacked spectrum or singular-value call per matrix
-    shape."""
+    """(negativity, marginal deviation, signalling defect) of each sample
+    job, as ``channel_defects`` of the contracted sample and
+    ``nosignalling_defect`` of the whole sample give them.  Jobs are drawn
+    lazily into chunks, each closed once its matrices reach the bytes of
+    one side × side operator and read with one stacked spectrum or
+    singular-value call per matrix shape."""
     out: list[tuple[float, float, float]] = []
     chunk: list[_Job] = []
     size = 0
@@ -555,15 +556,54 @@ def _defects(jobs: Iterable[_Job], side: int) -> list[tuple[float, float, float]
     return out + _stacked_defects(chunk)
 
 
-def _witness_jobs(analysis: IoAnalysis, witnessed: Sequence[tuple]) -> Iterator[_Job]:
-    """The job of the witness map of each inadmissible (entry, a, b,
-    witness word); each map is built when its job is drawn."""
-    outputs = analysis.outputs_ordered()
-    for _, a, b, word in witnessed:
-        witness = _witness_map(analysis, word)
-        drop = [s for s in outputs if s.name != b.name]
-        contracted = numeric_contraction(witness, a, b)
-        yield _job(contracted, [s.name for s in drop], partial_trace(witness, drop), a)
+def _witness_defects(
+    analysis: IoAnalysis, a: Label, b: Label, word: BitWord
+) -> tuple[float, float, float]:
+    """(negativity, marginal deviation, signalling defect) of the witness
+    map of word for the pair (a, b), as ``_defects`` of the dense map gives
+    them, in closed form with no matrix.
+
+    The map is lambda I + epsilon (x)_l f_l, with f_l the diagonal
+    ``_witness_map`` puts on label l: (1, -1, 0, ...) at a 0 bit and all
+    ones at a 1 bit.  Every operator read from it is diagonal and of the
+    form alpha I + beta (x) f: contracting (a, b) gives lambda d_a I +
+    epsilon s (x) f on the other labels, with s = sum_i f_a(i) f_b(i), and
+    tracing a label out multiplies beta by tr f_l, which is 0 or d_l.  So
+    a least eigenvalue or spectral norm is the min or max of alpha + beta p
+    over the products p of one entry per factor, each 1, -1 or 0.  The
+    signalling gap is epsilon (prod over the other outputs o of tr f_o)
+    (f_a - tr f_a / d_a) (x) factors whose largest entries are 1.  Only the
+    order of rounding differs from the dense values."""
+    bits = {lbl.name: word.bits >> i & 1 for i, lbl in enumerate(word.universe)}
+
+    def factor(lbl: Label) -> tuple[float, ...]:
+        d = lbl.dimension
+        return (1.0,) * d if bits[lbl.name] else (1.0, -1.0) + (0.0,) * (d - 2)
+
+    def products(labels: Iterable[Label]) -> set[float]:
+        out = {1.0}
+        for lbl in labels:
+            out = {p * f for p in out for f in set(factor(lbl))}
+        return out
+
+    lam = float(analysis.lam)
+    epsilon = lam / 2
+    while lam + epsilon * min(products(analysis.elementary)) < 0:
+        epsilon /= 2
+    f_a, d_a = factor(a), a.dimension
+    s = sum(i * j for i, j in zip(f_a, factor(b)))
+    rest = [c for c in analysis.elementary if c.name not in (a.name, b.name)]
+    negativity = max(0.0, -min(lam * d_a + epsilon * s * p for p in products(rest)))
+    dims = traces = 1.0
+    for o in analysis.outputs:
+        if o.name != b.name:
+            dims, traces = dims * o.dimension, traces * sum(factor(o))
+    other_inputs = [c for c in analysis.inputs if c.name != a.name]
+    deviation = max(
+        abs(lam * d_a * dims - 1 + epsilon * s * traces * p) for p in products(other_inputs)
+    )
+    signalling = abs(epsilon * traces) * max(abs(f - sum(f_a) / d_a) for f in f_a)
+    return negativity, deviation, signalling
 
 
 def _sample_jobs(
@@ -599,11 +639,13 @@ def verify(
     negative trial count or a negative seed raises ``ValueError``, before
     any pair is tried.
 
-    The residuals are those ``channel_defects`` and ``nosignalling_defect``
-    give pair by pair, bit for bit, at less cost: each sample is traced
-    down to the inputs and an output once for all pairs that contract
-    that output, and the least eigenvalues and spectral norms come from
-    stacked LAPACK calls (see ``_defects``).
+    The sample residuals are those ``channel_defects`` and
+    ``nosignalling_defect`` give pair by pair, bit for bit, at less cost:
+    each sample is traced down to the inputs and an output once for all
+    pairs that contract that output, and the least eigenvalues and
+    spectral norms come from stacked LAPACK calls (see ``_defects``).
+    The witness fields come from closed forms (``_witness_defects``), with
+    no dense map and no LAPACK call, within 1e-12 of the dense values.
     """
     if not 0 < tol < float("inf"):  # also refuses nan
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -623,7 +665,6 @@ def verify(
     input_names = {a.name for a in inputs}
     entries: list[dict] = []
     sampled: list[tuple[dict, Label, Label, list[str]]] = []
-    witnessed: list[tuple[dict, Label, Label, BitWord]] = []
     for a, b in pairs:
         verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
         entry = {"pair": f"{a.name}:{b.name}", "admissible": verdict.admissible,
@@ -644,14 +685,12 @@ def verify(
                          worst_nosignalling_residual=0.0)
             sampled.append((entry, a, b, [s.name for s in verdict.result_out]))
         else:
-            witnessed.append((entry, a, b, verdict.witness))
+            negativity, deviation, nosig = _witness_defects(analysis, a, b, verdict.witness)
+            margin = max(negativity, deviation)
+            entry.update(violation_margin=margin, witness_signalling_size=nosig)
+            if margin < 10 * tol:
+                entry["error"] = "violation margin too small"
     side = _side(analysis.elementary)
-    witness_defects = _defects(_witness_jobs(analysis, witnessed), side)
-    for (entry, *_), (negativity, deviation, nosig) in zip(witnessed, witness_defects):
-        margin = max(negativity, deviation)
-        entry.update(violation_margin=margin, witness_signalling_size=nosig)
-        if margin < 10 * tol:
-            entry["error"] = "violation margin too small"
     for trial in range(trials if sampled else 0):
         # the sample and its contractions are freed before the next draw
         defects = _defects(_sample_jobs(sample_deterministic(x, seed=seed + trial), sampled, outputs), side)

@@ -6,16 +6,17 @@ union, intersection and inclusion, word-set contraction, contraction
 decided by the equivalent type inclusion, composition decided with
 explicit roles, full signalling as the admissibility of the reversed
 contraction on the dual, a dense product-basis builder, the per-word
-basis dimension, the enumerated critical-set intersection, the sampler
-and witness as plain dense loops, the oracle check pair by pair, the
-partial transpose, partial trace and link product as textbook matrix
-operations, the tokenizer as a match loop that re-checks every name, the
-signalling matrix as one climb per pair, the parser as recursive descent,
-the critical-set pass from scratch on every call, equivalence as
-inclusion both ways, and type equality as the recursive dataclass
-comparison.  The identity and entangled-pair operators and the yes/no
-channel and no-signalling predicates over the oracle's residuals live
-here too, since only tests use them."""
+basis dimension, the enumerated critical-set intersection, the sampler,
+the witness and the witness residuals of ``verify`` as plain dense
+loops, the oracle check pair by pair, the partial transpose, partial
+trace and link product as textbook matrix operations, the tokenizer as a
+match loop that re-checks every name, the signalling matrix as one climb
+per pair, the parser as recursive descent, the critical-set pass from
+scratch on every call, equivalence as inclusion both ways, and type
+equality as the recursive dataclass comparison.  The identity and
+entangled-pair operators and the yes/no channel and no-signalling
+predicates over the oracle's residuals live here too, since only tests
+use them."""
 
 from __future__ import annotations
 
@@ -53,13 +54,17 @@ from hotypes import (
 from hotypes.admissibility import _orient_pairs, _prime, _rename_labels, _resolve_pairs
 from hotypes.oracle import (
     VerifyReport,
+    _defects,
+    _job,
     _side,
     _to_matrix,
+    _witness_map,
     basis_dimension,
     basis_for_words,
     channel_defects,
     nosignalling_defect,
     numeric_contraction,
+    partial_trace,
     violation_witness,
 )
 from hotypes.signalling import Relation, SignallingVerdict, _resolve_pair, signals
@@ -74,7 +79,7 @@ from hotypes.strings import (
     concat,
     critical_set_multi,
 )
-from hotypes.type_core import TypeSyntaxError, _flat_tree, _tokenize
+from hotypes.type_core import IoAnalysis, TypeSyntaxError, _flat_tree, _tokenize
 
 hypothesis.settings.register_profile(
     "hotypes", deadline=None, max_examples=60, derandomize=True
@@ -456,6 +461,25 @@ def reference_violation_witness(x: TypeExpr, a: Label, b: Label) -> OperatorMatr
         epsilon /= 2
         data = lam * np.eye(side) + epsilon * factor
     return OperatorMatrix(labels, data)
+
+
+def reference_witness_defects(
+    analysis: IoAnalysis, witnessed: Sequence[tuple[Label, Label, BitWord]]
+) -> list[tuple[float, float, float]]:
+    """(negativity, marginal deviation, signalling defect) of each (a, b,
+    word) from the dense witness map: its (a, b) contraction and its
+    reduction to the inputs and b, read by ``oracle._defects`` with
+    stacked LAPACK calls.  Each map is built when its job is drawn."""
+
+    def jobs():
+        outputs = analysis.outputs_ordered()
+        for a, b, word in witnessed:
+            witness = _witness_map(analysis, word)
+            drop = [s for s in outputs if s.name != b.name]
+            contracted = numeric_contraction(witness, a, b)
+            yield _job(contracted, [s.name for s in drop], partial_trace(witness, drop), a)
+
+    return _defects(jobs(), _side(analysis.elementary))
 
 
 def identity_operator(labels: Iterable[Label]) -> OperatorMatrix:

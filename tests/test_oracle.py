@@ -11,6 +11,7 @@ import pytest
 
 import hotypes.oracle
 from hotypes import (
+    BitWord,
     ContractionSpec,
     DuplicateLabelError,
     Label,
@@ -31,6 +32,7 @@ from hotypes.oracle import (
     _to_coefficients,
     _to_matrix,
     _uniform_draws,
+    _witness_defects,
     basis_dimension,
     basis_for_words,
     membership_defects,
@@ -57,6 +59,7 @@ from conftest import (
     reference_partial_trace,
     reference_sample_deterministic,
     reference_violation_witness,
+    reference_witness_defects,
 )
 
 ALGEBRA_TOL = 1e-12
@@ -662,6 +665,89 @@ class TestBitExactReferences:
         assert witnesses > 200
 
 
+def _equal_dimension_pairs(analysis):
+    return [
+        (a, b)
+        for a in analysis.inputs_ordered()
+        for b in analysis.outputs_ordered()
+        if a.dimension == b.dimension
+    ]
+
+
+class TestWitnessClosedForm:
+    """``_witness_defects`` against the dense witness leg of conftest."""
+
+    def _assert_close(self, analysis, a, b, word):
+        (want,) = reference_witness_defects(analysis, [(a, b, word)])
+        got = _witness_defects(analysis, a, b, word)
+        assert np.allclose(got, want, rtol=0, atol=ALGEBRA_TOL), (a, b, word.render())
+        return got
+
+    def test_critical_witnesses_match_the_dense_leg(self):
+        rng = random.Random(191)
+        witnessed = {(2,): 0, (3,): 0, (2, 3): 0}
+        types = 0
+        while sum(witnessed.values()) < 1000 or min(witnessed.values()) < 150:
+            dims = list(witnessed)[types % 3]
+            x = random_type(rng, max_systems=(7, 4, 5)[types % 3], dims=dims)
+            types += 1
+            analysis = io_partition(x)
+            if hotypes.oracle._side(analysis.elementary) > 128:
+                continue
+            for a, b in _equal_dimension_pairs(analysis):
+                verdict = check_contraction(x, ContractionSpec.of([(a, b)]))
+                if verdict.admissible or verdict.witness is None:
+                    continue
+                self._assert_close(analysis, a, b, verdict.witness)
+                witnessed[dims] += 1
+
+    def test_every_word_matches_the_dense_leg(self):
+        # critical witnesses put a at a 0 bit and the other outputs at 1
+        # bits; every word also reaches a at a 1 bit, where tr f_a / d_a
+        # cancels f_a in the signalling gap, and other outputs at 0 bits,
+        # whose traces vanish
+        shown = {"a_at_1": 0, "output_at_0": 0}
+        rng = random.Random(193)
+        types = [parse_type("(A->B)*(C->D)"), parse_type("((A->B)*(C->D))*(E->F)"),
+                 parse_type("(A->B)*(C->D)", {"A": 3, "B": 3})]
+        types += [random_type_with_io(rng, max_systems=4, dims=(2, 3)) for _ in range(12)]
+        for x in types:
+            analysis = io_partition(x)
+            universe = analysis.elementary
+            for a, b in _equal_dimension_pairs(analysis):
+                for bits in range(1 << len(universe)):
+                    word = BitWord(universe, bits)
+                    _, _, signalling = self._assert_close(analysis, a, b, word)
+                    others = [word.bit(o) for o in analysis.outputs if o != b]
+                    if word.bit(a) and all(others):
+                        assert signalling == 0
+                        shown["a_at_1"] += 1
+                    if not all(others):
+                        assert signalling == 0
+                        shown["output_at_0"] += 1
+        assert min(shown.values()) > 50
+
+    def test_worked_example(self):
+        # lambda = 1/4 and epsilon = 1/8 on two qubit channels; with every
+        # bit set the witness map is (3/8) I, a product map
+        x = parse_type("(A->B)*(C->D)")
+        analysis = io_partition(x)
+        by_name = {c.name: c for c in analysis.elementary}
+        a, b = by_name["A"], by_name["B"]
+
+        def word(zeros: str) -> BitWord:
+            universe = analysis.elementary
+            return BitWord(universe, sum(1 << i for i, c in enumerate(universe) if c.name not in zeros))
+
+        # s = 2: the contraction is (3/4) I, whose marginal is (3/2) I
+        assert _witness_defects(analysis, a, b, word("")) == (0.0, 0.5, 0.0)
+        # D at a 0 bit: tracing it out leaves the identity
+        assert _witness_defects(analysis, a, b, word("D")) == (0.0, 0.0, 0.0)
+        # A and B at 0 bits (the critical witness): s = 2 again, and A
+        # signals to B with gap (1/4) diag(1, -1) (x) diag(1, -1)
+        assert _witness_defects(analysis, a, b, word("AB")) == (0.0, 0.5, 0.25)
+
+
 class TestStringOperatorCompatibility:
     def test_contraction_lands_in_the_contracted_span(self):
         rng = random.Random(139)
@@ -722,31 +808,70 @@ class TestVerifyArguments:
             verify(parse_type("(A->B)*(C->D)"), trials=-1)
 
 
+# the fields verify reads from closed forms; the dense loop rounds them
+# differently in the last digits
+_WITNESS_FIELDS = ("violation_margin", "witness_signalling_size")
+
+
+def _split_witness_fields(report: dict) -> tuple[str, list[float]]:
+    """The report as JSON without the witness fields, and those fields'
+    values in pair order."""
+    values = []
+    for entry in report["pairs"]:
+        for name in _WITNESS_FIELDS:
+            if name in entry:
+                values.append(entry[name])
+                entry[name] = None
+    return json.dumps(report), values
+
+
 class TestVerifyBatching:
     """``verify`` shares reductions across pairs and stacks its spectra,
-    with the bits of the pair-by-pair loop."""
+    with the bits of the pair-by-pair loop; the witness fields come from
+    closed forms within 1e-12 of it."""
 
     def test_reports_equal_the_pair_by_pair_loop(self):
         rng = random.Random(173)
-        compared = 0
+        compared = witnessed = 0
         while compared < 300:
             dims = [(2,), (3,), (2, 3)][compared % 3]
             x = random_type(rng, max_systems=(7, 4, 5)[compared % 3], dims=dims)
             if hotypes.oracle._side(io_partition(x).elementary) > 128:
                 continue
-            got = json.dumps(verify(x, trials=3, seed=compared).to_json())
-            assert got == json.dumps(reference_verify(x, trials=3, seed=compared).to_json()), x
+            got, got_values = _split_witness_fields(verify(x, trials=3, seed=compared).to_json())
+            want, want_values = _split_witness_fields(reference_verify(x, trials=3, seed=compared).to_json())
+            assert got == want, x
+            assert np.allclose(got_values, want_values, rtol=0, atol=ALGEBRA_TOL), x
             compared += 1
+            witnessed += len(got_values) // 2
+        assert witnessed > 200
 
     def test_lapack_calls_per_matrix_shape(self, monkeypatch):
         x = parse_type("((A->B)*(C->D))*(E->F)")
         lapack = _CountingLapack(monkeypatch)
         report = verify(x, trials=2)
         assert report.failures == 0
-        # one spectrum per sample, then per trial and for the witnesses
-        # one stacked spectrum of the contractions and two stacked SVDs
-        assert lapack.take("eigvalsh") <= 5
-        assert lapack.take("svd") <= 6
+        # per trial one spectrum of the sample, one stacked spectrum of the
+        # contractions and one stacked SVD per gap shape; none for witnesses
+        assert lapack.take("eigvalsh") == 4
+        assert lapack.take("svd") == 4
+
+    def test_witness_pairs_build_no_matrix(self, monkeypatch):
+        x = parse_type("((A->B)*(C->D))*(E->F)")
+        by_name = {a.name: a for a in io_partition(x).elementary}
+        pairs = [(by_name[a], by_name[b]) for a, b in ("AB", "CD", "EF")]
+        lapack = _CountingLapack(monkeypatch)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("verify built a dense witness operator")
+
+        monkeypatch.setattr(hotypes.oracle, "_witness_map", refused)
+        monkeypatch.setattr(hotypes.oracle, "numeric_contraction", refused)
+        report = verify(x, pairs, trials=2)
+        assert report.failures == 0
+        assert [entry["admissible"] for entry in report.pairs] == [False] * 3
+        assert all(entry["violation_margin"] >= 1e-3 for entry in report.pairs)
+        assert lapack.take("eigvalsh") == lapack.take("svd") == 0
 
     def test_stacks_close_at_one_operator(self, monkeypatch):
         x = parse_type("(A->B)*(C->D)*(E->F)")
