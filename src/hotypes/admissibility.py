@@ -1,8 +1,8 @@
 """Decision procedures over the string calculus.
 
-Type inclusion is a subset test on enumerated D sets, refused above the
-63-label cap before any set is built; equivalence adds the reverse test
-only when the two sets differ in size.  Contraction and composition
+Type inclusion is a subset test on enumerated D sets, counted first against
+``strings.WORD_BUDGET``; equivalence adds the reverse test only when the
+two sets differ in size.  Contraction and composition
 admissibility is emptiness of D_x against a critical set, decided
 without building either: the nodes of the type tree are sorted into
 three classes of words (in D, all-ones, neither) once per type, and each
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, NamedTuple
 
-from .strings import BitWord, _critical_word, _universe, build_D
+from .strings import BitWord, _check_words, _critical_word, build_D, word_count
 from .type_core import (
     Arrow,
     Elementary,
@@ -117,14 +117,15 @@ def check_inclusion(x: TypeExpr, y: TypeExpr) -> Verdict:
 
     Holds exactly when the label sets agree, the normalization scalars
     agree, and D_x is a subset of D_y; otherwise the verdict carries a word
-    of D_x that falls outside D_y (or the mismatch reason).
+    of D_x that falls outside D_y (or the mismatch reason).  Both sets
+    over ``WORD_BUDGET`` together raise ``ValueError`` before either is built.
     """
     ax, ay = io_partition(x), io_partition(y)
     if set(ax.elementary) != set(ay.elementary):
         return Verdict(False, Reason.LABEL_MISMATCH)
     if ax.lam != ay.lam:
         return Verdict(False, Reason.LAMBDA_MISMATCH)
-    _universe(ax.elementary)  # the 63-label cap, before any word is built
+    _check_words(word_count(x) + word_count(y))
     dx, dy = build_D(x), build_D(y)
     extra = dx.difference(dy)
     if extra.masks:

@@ -25,7 +25,7 @@ from .admissibility import (
 )
 from .oracle import verify
 from .signalling import crosscheck, signalling_matrix
-from .strings import MAX_UNIVERSE, build_D, word_count
+from .strings import build_D, word_count
 from .type_core import (
     TypeExpr,
     TypeSyntaxError,
@@ -83,10 +83,6 @@ def cmd_analyze(args, dims: dict[str, int]) -> int:
     start = time.perf_counter()
     x, renamed = _parse(args.type, dims)
     analysis = io_partition(x)
-    if len(analysis.elementary) > MAX_UNIVERSE:
-        raise CliError(
-            f"type has {len(analysis.elementary)} labels; word sets are capped at {MAX_UNIVERSE}"
-        )
     count = word_count(x)
     # an empty D_x is listed from its count alone, with no word set built
     words = [] if count == 0 else build_D(x).render() if count <= 64 else None

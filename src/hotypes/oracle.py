@@ -16,6 +16,7 @@ padding of the no-signalling test are one label-keyed contraction,
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,8 +26,8 @@ import numpy as np
 
 from .admissibility import ContractionSpec, check_contraction
 from .signalling import Relation, signals
-from .strings import BitWord, WordSet, _class_count, build_D, canonical_universe
-from .type_core import IoAnalysis, Label, TypeExpr, _roles, io_partition
+from .strings import BitWord, WordSet, _check_words, _class_count, build_D, canonical_universe, word_count
+from .type_core import IoAnalysis, Label, TypeExpr, _flat_tree, _roles, io_partition
 
 BASIS_BYTES = 1 << 30
 
@@ -254,8 +255,17 @@ def basis_for_words(words: WordSet) -> SubspaceBasis:
 
 
 def delta_basis(x: TypeExpr) -> SubspaceBasis:
-    """Basis of the traceless deviation subspace attached to a type."""
+    """Basis of the deviation subspace of x, bytes checked before D_x is built."""
+    _check_bytes(_flat_tree(x).labels)
     return basis_for_words(build_D(x))
+
+
+def _basis_size(words: WordSet) -> int:
+    """The coefficients in the words' blocks (``_blocks``): d^2 - 1 per 0 bit."""
+    groups: dict[int, int] = {}  # dimension -> mask of its labels
+    for i, a in enumerate(words.universe):
+        groups[a.dimension] = groups.get(a.dimension, 0) | 1 << i
+    return sum(math.prod((d * d - 1) ** (g & ~m).bit_count() for d, g in groups.items()) for m in words.masks)
 
 
 # --- deterministic-map sampling -------------------------------------------------
@@ -629,7 +639,7 @@ def verify(
     """Check the calculus on x against the numerics.
 
     The normalization scalar is compared with its closed form and the
-    deviation basis with its counted dimension.  Unless trials is 0, each
+    block sizes of D_x with its counted dimension.  Unless trials is 0, each
     pair (default: every input/output pair of equal dimension) is then
     checked three ways: the structural signalling relation against the
     critical-set verdict; for an admissible pair, the channel and
@@ -655,8 +665,8 @@ def verify(
     analysis, roles = io_partition(x), _roles(x)
     inputs, outputs = roles.inputs, roles.outputs
     lambda_ok = analysis.lam == Fraction(1, _side(outputs))
-    _check_bytes(analysis.elementary)  # before D_x is enumerated
-    basis_size = len(basis_for_words(build_D(x)))
+    _check_words(word_count(x))  # before D_x is enumerated
+    basis_size = _basis_size(build_D(x))
     basis_ok = basis_size == basis_dimension(x)
     if trials == 0:
         pairs = []

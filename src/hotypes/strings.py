@@ -4,22 +4,21 @@ Words are bitmasks over a label universe kept in the type's textual label
 order (bit i holds the value at the i-th label), so concatenation is a
 shift.  Sorted-name order is used only to show words: rendering, iteration
 and the smallest member.  Word sets are plain frozensets of masks, so
-every operation here is exact and exhaustive; universes are capped at 63
-labels to keep single-machine-word encoding.  Every word over a subterm
+every operation here is exact and exhaustive.  Every word over a subterm
 is in D_x, is the all-ones word, or is in the rest R_x, and one rule on
 these three classes serves every use: ``build_D`` builds D_x from the
 D and R sets of the sides, never a set larger than D_x, so its cost
 follows |D_x|; ``word_count`` counts D_x and ``_critical_word`` decides
 contraction from the classes, by one pass per type and climbs from the
-paired leaves per query, without building a set.
-``critical_set_multi`` builds the obstruction set only to show it.
+paired leaves per query, without building a set, at any label count.
+``critical_set_multi`` builds the obstruction set only to show it.  What
+enumerates counts its words first against ``WORD_BUDGET``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .type_core import (
@@ -34,25 +33,21 @@ from .type_core import (
     _roles,
 )
 
-MAX_UNIVERSE = 63
+# Held words cost about 200 bytes each: on CPython 3.11 (x86-64), equivalence
+# of 12 channels with their reversed order (1.06 M words in both sets) grew
+# peak RSS by 210 MiB.  Inclusion of 13 channels (3.2 M words) is admitted.
+WORD_BUDGET = 1 << 22
 
 
-class UniverseTooLargeError(ValueError):
-    pass
-
-
-def _universe(labels: Iterable[Label]) -> tuple[Label, ...]:
-    """The labels in the given order; a repeated label
-    (``DuplicateLabelError``) and an oversized universe are rejected."""
-    ordered = _distinct_labels(list(labels))
-    if len(ordered) > MAX_UNIVERSE:
-        raise UniverseTooLargeError(f"universe has {len(ordered)} labels; the cap is {MAX_UNIVERSE}")
-    return ordered
+def _check_words(count: int) -> None:
+    """Refuse ``count`` words, counted before any is built, over the budget."""
+    if count > WORD_BUDGET:
+        raise ValueError(f"word sets need {count} words, over the budget of {WORD_BUDGET}")
 
 
 def canonical_universe(labels: Iterable[Label]) -> tuple[Label, ...]:
-    """Sort labels by name and reject duplicates and oversized universes."""
-    return _universe(sorted(labels, key=lambda a: a.name))
+    """Sort labels by name and reject duplicates (``DuplicateLabelError``)."""
+    return _distinct_labels(sorted(labels, key=lambda a: a.name))
 
 
 @dataclass(frozen=True)
@@ -153,7 +148,7 @@ def concat(j1: WordSet, j2: WordSet) -> WordSet:
 
     The null-string set {ε} is the identity and the empty set annihilates.
     """
-    universe = _universe(j1.universe + j2.universe)
+    universe = _distinct_labels([*j1.universe, *j2.universe])
     shift = len(j1.universe)
     masks = frozenset(m1 | m2 << shift for m1 in j1.masks for m2 in j2.masks)
     return WordSet(universe, masks)
@@ -174,7 +169,8 @@ def build_D(x: TypeExpr) -> WordSet:
     A label gives {0} and I the empty set; arrows follow the three-class
     rule above.  W_x is enumerated only when D_y is non-empty and R_y only
     when R_x is, so no set larger than D_x is made and the cost follows
-    |D_x|.  The labels of the two sides must differ
+    |D_x|, unbounded here: callers check ``word_count`` against the
+    budget first (``_check_words``).  The labels of the two sides must differ
     (``DuplicateLabelError``).  Memoized per subterm.
     """
     if isinstance(x, Trivial):
@@ -185,7 +181,7 @@ def build_D(x: TypeExpr) -> WordSet:
     if isinstance(x.right, Trivial):
         return _rest(x.left)
     rest_x, d_y = _rest(x.left), build_D(x.right)
-    universe, shift = _universe(rest_x.universe + d_y.universe), len(rest_x.universe)
+    universe, shift = _distinct_labels([*rest_x.universe, *d_y.universe]), len(rest_x.universe)
     e_y = (1 << len(d_y.universe)) - 1
     masks: set[int] = set()
     if d_y.masks:
@@ -205,7 +201,7 @@ def _rest(x: TypeExpr) -> WordSet:
     if isinstance(x.right, Trivial):
         return build_D(x.left)
     d_x, rest_y = build_D(x.left), _rest(x.right)
-    universe, shift = _universe(d_x.universe + rest_y.universe), len(d_x.universe)
+    universe, shift = _distinct_labels([*d_x.universe, *rest_y.universe]), len(d_x.universe)
     e_x, e_y = (1 << shift) - 1, (1 << len(rest_y.universe)) - 1
     masks: set[int] = set()
     _join(masks, d_x.masks | {e_x}, rest_y.masks | {e_y}, shift)
@@ -280,9 +276,8 @@ PATTERN_BUDGET = (1 << 12) - 1
 def _base_classes(x: TypeExpr) -> list[int]:
     """The classes each node of x reaches with every input free and every
     output at 1, indexed by node; the state every critical-set pass starts
-    from before it fixes its pairs.  Refuses a universe over the cap."""
+    from before it fixes its pairs."""
     tree = _flat_tree(x)
-    _universe(tree.labels)  # the 63-label cap
     values = [_E] * len(tree.left)  # I is all-ones
     for node, k in zip(tree.leaf_node, tree.k):
         values[node] = _D | _E if k else _E
@@ -382,10 +377,11 @@ def critical_set_multi(
     """Obstruction set for a set of disjoint (input, output) contractions.
 
     Members carry equal bits on the two labels of each pair (not all pairs
-    one), ones on the untouched outputs, anything on the untouched inputs.
+    one), ones on the untouched outputs, anything on the untouched inputs:
+    (2^k - 1) 2^f words for k pairs and f free inputs, within the budget.
     """
     tree = _flat_tree(x)
-    universe = _universe(tree.labels)
+    universe = tree.labels
     resolved: list[tuple[int, int]] = []  # textual positions, i.e. bits
     used: set[int] = set()
     for a, b in pairs:
@@ -402,19 +398,11 @@ def critical_set_multi(
         raise ValueError("at least one contraction pair is required")
 
     free_inputs = [p for p, k in enumerate(tree.k) if k and p not in used]
-    base = sum(1 << p for p, k in enumerate(tree.k) if not k and p not in used)
-    masks = set()
-    for pair_bits in product((0, 1), repeat=len(resolved)):
-        if all(pair_bits):
-            continue  # all-ones on the contracted block never meets D_x
-        pattern = base
-        for (i, j), bit in zip(resolved, pair_bits):
-            if bit:
-                pattern |= (1 << i) | (1 << j)
-        for free_bits in product((0, 1), repeat=len(free_inputs)):
-            mask = pattern
-            for p, bit in zip(free_inputs, free_bits):
-                if bit:
-                    mask |= 1 << p
-            masks.add(mask)
-    return WordSet(universe, frozenset(masks))
+    _check_words(((1 << len(resolved)) - 1) << len(free_inputs))
+    words = [sum(1 << p for p, k in enumerate(tree.k) if not k and p not in used)]
+    for i, j in resolved:
+        words += [w | 1 << i | 1 << j for w in words]
+    words.pop()  # every pair at 1, last to be made, never meets D_x
+    for p in free_inputs:
+        words += [w | 1 << p for w in words]
+    return WordSet(universe, frozenset(words))

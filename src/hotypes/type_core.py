@@ -12,6 +12,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 TRIVIAL_NAME = "I"
@@ -607,11 +608,13 @@ def _fold(x: TypeExpr, leaf, trivial, arrow):
 
 
 def _lambda_arrow(left, right):
-    # lambda as an unreduced numerator and denominator, with the total
-    # dimension; reducing a Fraction at every arrow cost more than the rest
-    # of the analysis
+    # lambda as a numerator and denominator cut by their gcd (a Fraction per
+    # arrow cost more than the rest of the analysis; unreduced, the terms of
+    # a tensor of 2000 channels grew peak RSS to 1.4 GB), with the total dimension
     (num_x, den_x, dim_x), (num_y, den_y, dim_y) = left, right
-    return num_y * den_x, den_y * dim_x * num_x, dim_x * dim_y
+    num, den = num_y * den_x, den_y * dim_x * num_x
+    g = gcd(num, den)
+    return num // g, den // g, dim_x * dim_y
 
 
 def io_partition(x: TypeExpr) -> IoAnalysis:

@@ -16,20 +16,24 @@ scratch on every call, equivalence as inclusion both ways, and type
 equality as the recursive dataclass comparison.  The identity and
 entangled-pair operators and the yes/no channel and no-signalling
 predicates over the oracle's residuals live here too, since only tests
-use them."""
+use them, and so does the environment of child processes, which puts the
+package under test on their import path."""
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import hypothesis
 import numpy as np
 from hypothesis import strategies as st
 
+import hotypes
 from hotypes import (
     Arrow,
     OperatorMatrix,
@@ -74,17 +78,27 @@ from hotypes.strings import (
     _E,
     PATTERN_BUDGET,
     _critical_word,
-    _universe,
     canonical_universe,
     concat,
     critical_set_multi,
 )
-from hotypes.type_core import IoAnalysis, TypeSyntaxError, _flat_tree, _tokenize
+from hotypes.type_core import IoAnalysis, TypeSyntaxError, _distinct_labels, _flat_tree, _tokenize
 
 hypothesis.settings.register_profile(
     "hotypes", deadline=None, max_examples=60, derandomize=True
 )
 hypothesis.settings.load_profile("hotypes")
+
+
+def child_env(env: dict[str, str] | None = None) -> dict[str, str]:
+    """The environment of a child Python process (default: this one's) with
+    the ``src`` directory of the imported package first on PYTHONPATH, so
+    the child imports the package the tests import."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(hotypes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 # fresh-name pool; 'I' is reserved for the trivial type
 _NAMES = [c for c in "ABCDEFGHJKLMNOPQRSTUVWXYZ"]
@@ -185,15 +199,15 @@ def reference_D(x: TypeExpr) -> WordSet:
 
 def full_set(universe: Iterable[Label]) -> WordSet:
     """W: every word over the universe, which keeps the given order and is
-    checked as every word-set universe is (duplicates, the 63-label cap).
-    Over the empty universe this is the singleton holding the null string."""
-    ordered = _universe(universe)
+    checked for duplicates as every word-set universe is.  Over the empty
+    universe this is the singleton holding the null string."""
+    ordered = _distinct_labels(list(universe))
     return WordSet(ordered, frozenset(range(1 << len(ordered))))
 
 
 def all_ones(universe: Iterable[Label]) -> BitWord:
     """e: the all-ones word."""
-    ordered = _universe(universe)
+    ordered = _distinct_labels(list(universe))
     return BitWord(ordered, (1 << len(ordered)) - 1)
 
 
@@ -780,7 +794,7 @@ def reference_critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -
     of x with the pairs fixed, the name index and sorted order rebuilt,
     and the free inputs restored after every hit."""
     tree = _flat_tree(x)
-    canonical = canonical_universe(tree.labels)  # the 63-label cap
+    canonical = canonical_universe(tree.labels)
     patterns = (1 << len(pairs)) - 1
     if patterns > PATTERN_BUDGET:
         raise ValueError(

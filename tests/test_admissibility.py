@@ -28,7 +28,7 @@ from hotypes import (
 )
 from hotypes.admissibility import _rename_labels
 from hotypes.type_core import as_bar, as_tensor
-from hotypes.strings import UniverseTooLargeError, critical_set_multi
+from hotypes.strings import WORD_BUDGET, critical_set_multi
 
 from conftest import (
     random_type,
@@ -185,15 +185,23 @@ class TestCheckInclusion:
 
 
 class TestCheckEquivalence:
-    def test_label_cap_is_checked_before_words_are_built(self, monkeypatch):
+    def test_word_budget_is_checked_before_words_are_built(self, monkeypatch):
         def refuse(x):
-            raise AssertionError("build_D called on a type over the label cap")
+            raise AssertionError("build_D called on word sets over the budget")
 
         monkeypatch.setattr("hotypes.admissibility.build_D", refuse)
-        x = parse_type("*".join(f"(A{i}->B{i})" for i in range(32)))
+        text = "*".join(f"(A{i}->B{i})" for i in range(14))
+        x = parse_type(text)
+        # 13 channels hold 2 (3^13 - 1) = 3188644 words and are admitted
+        assert 2 * (3**13 - 1) <= WORD_BUDGET < 2 * (3**14 - 1)
         for check in (check_inclusion, check_equivalence):
-            with pytest.raises(UniverseTooLargeError, match="64 labels"):
+            with pytest.raises(ValueError, match=f"need {2 * (3**14 - 1)} words, over the budget"):
                 check(x, x)
+            # mismatches are still answered first, from the labels and scalars
+            assert check(x, parse_type(text.replace("B13", "C13"))).reason is Reason.LABEL_MISMATCH
+            qutrit = parse_type(text, {"A13": 3})
+            reversed_qutrit = parse_type(text.replace("(A13->B13)", "(B13->A13)"), {"A13": 3})
+            assert check(qutrit, reversed_qutrit).reason is Reason.LAMBDA_MISMATCH
 
     def test_double_bar(self):
         rng = random.Random(59)

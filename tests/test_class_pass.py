@@ -31,6 +31,7 @@ from hotypes import (
     io_partition,
     parse_type,
     render_type,
+    signals,
     verify,
 )
 from hotypes.admissibility import _orient_pairs
@@ -41,6 +42,7 @@ from conftest import (
     full_signalling,
     random_type,
     random_type_with_io,
+    reference_check_composition,
     reference_critical_word,
     reference_rows,
 )
@@ -127,6 +129,41 @@ class TestWithoutWordSets:
         assert full_signalling(x, "A3", "B3")
         assert not full_signalling(x, "A3", "B4")
 
+    def test_one_pair_on_five_hundred_channels(self, no_word_sets):
+        x = parse_type(channels(500))
+        start = time.perf_counter()
+        admissible = check_contraction(x, ContractionSpec.from_text("A1:B0", x))
+        loop = check_contraction(x, ContractionSpec.from_text("A7:B7", x))
+        assert time.perf_counter() - start < 0.5
+        assert signals(x, "A1", "B0").relation is Relation.NO_SIGNALLING
+        assert signals(x, "A7", "B7").relation is Relation.FULL_SIGNALLING
+        assert admissible.admissible and admissible.witness is None
+        assert len(admissible.result_in) == len(admissible.result_out) == 499
+        assert not loop.admissible and loop.reason is Reason.CRITICAL_SET
+        bits = {a.name: loop.witness.bit(a) for a in loop.witness.universe}
+        assert bits == {name: int(name not in ("A7", "B7")) for name in bits}
+        assert len(bits) == 1000
+
+    def test_forty_channel_crosscheck(self, no_word_sets):
+        x = parse_type(channels(40))
+        start = time.perf_counter()
+        assert crosscheck(x)
+        assert time.perf_counter() - start < 0.5
+
+    def test_composition_across_eighty_two_labels(self, no_word_sets):
+        # forty states into B, and B feeding forty effects; the shared B is
+        # renamed apart, so the contraction runs on 82 labels
+        x = parse_type("(" + "*".join(f"A{i}" for i in range(40)) + ")->B")
+        y = parse_type("B->(" + "*".join(f"C{i}" for i in range(40)) + ")")
+        verdict = check_composition(x, y)
+        assert verdict.admissible
+        assert [a.name for a in verdict.result_in] == [f"A{i}" for i in range(40)]
+        assert [a.name for a in verdict.result_out] == [f"C{i}" for i in range(40)]
+        # feeding B back into one of the inputs closes a loop
+        loop = check_composition(x, parse_type("B->A0"))
+        assert not loop.admissible and loop.reason is Reason.CRITICAL_SET
+        assert loop == reference_check_composition(x, parse_type("B->A0"))
+
     def test_loop_witness_on_sixty_two_labels(self, no_word_sets):
         # D of a tensor of channels: every channel 00, 10 or 11, one not 11;
         # the loop A0:B0 leaves channel 0 at 00 and every other channel at 11
@@ -173,10 +210,14 @@ class TestPatternBudget:
         assert code == 2 and out == ""
         assert "the budget is 2" in err
 
-    def test_label_cap_still_applies(self, capsys):
-        code, _, err = run_cli(capsys, "check", "contraction", channels(32), "--pairs", "A0:B1")
-        assert code == 2
-        assert "64 labels; the cap is 63" in err
+    def test_label_count_is_not_capped(self, capsys, no_word_sets):
+        x = parse_type(channels(32))
+        for pair, relation in (("A0:B1", Relation.NO_SIGNALLING), ("A0:B0", Relation.FULL_SIGNALLING)):
+            code, report = run_json(capsys, "check", "contraction", channels(32), "--pairs", pair)
+            assert relation is signals(x, *pair.split(":")).relation
+            assert (code, report["verdict"]["admissible"]) == (
+                (0, True) if relation is Relation.NO_SIGNALLING else (1, False)
+            )
 
 
 def _reference_contraction(x, spec: ContractionSpec) -> Verdict:

@@ -15,6 +15,8 @@ import hotypes.oracle
 import hotypes.signalling
 from hotypes.cli import main
 
+from conftest import child_env
+
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -93,6 +95,7 @@ class TestAnalyze:
             [sys.executable, "-m", "hotypes.cli", "--json", "analyze", f"(~({'*'.join(states)}))*C"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert (result.returncode, result.stderr) == (0, "")
         report = json.loads(result.stdout)
@@ -100,10 +103,18 @@ class TestAnalyze:
         assert report["words"] == ["".join(f"1_{a}" for a in sorted(states)) + "0_C"]
         assert report["timing_ms"] < 500
 
-    def test_too_many_labels_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", "*".join(f"A{i}" for i in range(64)))
-        assert code == 2
-        assert "64 labels" in err
+    def test_many_labels_are_counted_not_listed(self, capsys, monkeypatch):
+        def refuse(x):
+            raise AssertionError("build_D called for a word set too large to list")
+
+        monkeypatch.setattr("hotypes.cli.build_D", refuse)
+        channels = "*".join(f"(A{i}->B{i})" for i in range(500))
+        start = time.perf_counter()
+        code, report = run_json(capsys, "analyze", channels)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert len(report["elementary"]) == 1000
+        assert (report["word_count"], report["words"]) == (3**500 - 1, None)
 
     def test_parse_error_exits_2_with_caret(self, capsys):
         code, out, err = run_cli(capsys, "analyze", "(A->")
@@ -162,16 +173,16 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
-    def test_inclusion_over_the_label_cap_is_usage_error(self, capsys, monkeypatch):
+    def test_inclusion_over_the_word_budget_is_usage_error(self, capsys, monkeypatch):
         def refuse(x):
-            raise AssertionError("build_D called on a type over the label cap")
+            raise AssertionError("build_D called on word sets over the budget")
 
         monkeypatch.setattr("hotypes.admissibility.build_D", refuse)
-        channels = "*".join(f"(A{i}->B{i})" for i in range(32))
+        channels = "*".join(f"(A{i}->B{i})" for i in range(14))
         for command in ("inclusion", "equivalence"):
             code, out, err = run_cli(capsys, "check", command, channels, channels)
             assert (code, out) == (2, "")
-            assert "64 labels" in err
+            assert f"word sets need {2 * (3**14 - 1)} words, over the budget of 4194304" in err
 
 
 class TestSignalling:
@@ -331,24 +342,28 @@ class TestOracleVerify:
         assert report["failures"] == 0
         assert calls == [0, 1]
 
-    def test_basis_over_byte_budget_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(hotypes.oracle, "BASIS_BYTES", 1)
-        # labels no other test uses, so no cached basis bypasses the budget
-        code, out, err = run_cli(capsys, "oracle", "verify", "(Pb->Qb)", "--trials", "0")
-        assert code == 2
-        assert out == ""
-        assert "bytes" in err and "budget" in err
+    def test_basis_over_byte_budget_is_usage_error(self, capsys):
+        channels = "*".join(f"(A{i}->B{i})" for i in range(6))
+        # admissible pairs are sampled, and a sample of 12 qubits is too large
+        code, out, err = run_cli(capsys, "oracle", "verify", channels, "--trials", "2")
+        assert (code, out) == (2, "")
+        assert "dense operators need 2147483648 bytes, over the budget of 1073741824" in err
+        # structure alone and witness maps allocate no dense operator
+        for argv in (["--trials", "0"], ["--pairs", "A0:B0", "--trials", "2"]):
+            code, report = run_json(capsys, "oracle", "verify", channels, *argv)
+            assert (code, report["failures"]) == (0, 0)
+            assert report["lambda_recursion_matches_closed_form"] is True
+            assert report["deviation_basis_dimension_matches"] is True
+        assert report["pairs"][0]["relation"] == "full-signalling"
 
-    def test_byte_budget_is_checked_before_words_are_built(self, capsys, monkeypatch):
+    def test_byte_budget_is_checked_before_words_are_built(self, monkeypatch):
         def refuse(x):
             raise AssertionError("build_D called for a basis over the byte budget")
 
         monkeypatch.setattr(hotypes.oracle, "build_D", refuse)
-        channels = "*".join(f"(A{i}->B{i})" for i in range(12))
-        code, out, err = run_cli(capsys, "oracle", "verify", channels, "--trials", "0")
-        assert code == 2
-        assert out == ""
-        assert "dense operators need" in err and "bytes" in err
+        x = hotypes.parse_type("*".join(f"(A{i}->B{i})" for i in range(12)))
+        with pytest.raises(ValueError, match=f"dense operators need {8 * 4**12 * 16 * 4**12} bytes"):
+            hotypes.oracle.delta_basis(x)
 
     @pytest.mark.parametrize(
         "option, value, reason",
@@ -382,6 +397,28 @@ class TestOracleVerify:
         )
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "failures: 0"
+
+
+class TestBudgets:
+    @pytest.mark.parametrize(
+        "module, budget, argv, refusal",
+        [
+            ("strings", "WORD_BUDGET", ["check", "inclusion", "A->B", "A->B"],
+             "word sets need 4 words, over the budget of 3"),
+            ("strings", "PATTERN_BUDGET", ["check", "contraction", "(A->B)*(C->D)*(E->F)", "--pairs", "A:D,C:F"],
+             "2 contraction pairs need 3 critical-set patterns; the budget is 2"),
+            ("oracle", "BASIS_BYTES", ["oracle", "verify", "(A->B)*(C->D)", "--pairs", "A:D"],
+             "dense operators need 32768 bytes, over the budget of 32767"),
+        ],
+        ids=["words", "patterns", "bytes"],
+    )
+    def test_each_budget_refuses_with_exit_2(self, capsys, monkeypatch, module, budget, argv, refusal):
+        limit = int(refusal.split()[-1])
+        monkeypatch.setattr(f"hotypes.{module}.{budget}", limit)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
+        monkeypatch.setattr(f"hotypes.{module}.{budget}", limit + 1)
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 class TestDimsHandling:
@@ -442,6 +479,7 @@ class TestReportStability:
                 stdout=write,
                 stderr=subprocess.PIPE,
                 text=True,
+                env=child_env(),
             )
         finally:
             os.close(write)
@@ -472,6 +510,7 @@ class TestReportStability:
             [sys.executable, "-m", "hotypes.cli", "analyze", "A->B"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert "lambda:  1/2" in result.stdout
@@ -500,7 +539,7 @@ class TestParserReuse:
                 monkeypatch.setenv("HOTYPES_DIMS", env_dims)
             code, out, err = run_cli(capsys, *argv)
             fresh = subprocess.run(
-                [sys.executable, "-m", "hotypes.cli", *argv], capture_output=True, text=True, env=env
+                [sys.executable, "-m", "hotypes.cli", *argv], capture_output=True, text=True, env=child_env(env)
             )
             assert (code, _without_timing(out), err) == (
                 fresh.returncode, _without_timing(fresh.stdout), fresh.stderr

@@ -20,6 +20,8 @@ import pytest
 import hotypes
 import hotypes.oracle
 
+from conftest import child_env
+
 PACKAGE = Path(hotypes.__file__).parent
 REPO = Path(__file__).resolve().parents[1]
 TRACING = REPO / "bench" / "tracing.py"
@@ -67,7 +69,9 @@ def test_the_guard_sees_the_oracle_imports():
 def test_sampling_leaves_numpy_random_unimported(run):
     # the samples draw from the standard library's generator
     probe = run + "\nimport sys\nprint('numpy.random' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=child_env()
+    )
     assert result.stdout.splitlines()[-1] == "False"
 
 

@@ -11,6 +11,8 @@ import pytest
 
 import hotypes.oracle
 
+from conftest import child_env
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -26,6 +28,7 @@ def test_worked_example_runs_clean():
         [sys.executable, str(SCRIPTS / "worked_example.py")],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert "inadmissible" in result.stdout
@@ -46,6 +49,7 @@ def test_crossvalidate_reports_no_disagreements():
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert "0 disagreements" in result.stdout
@@ -65,6 +69,7 @@ def test_crossvalidate_reaches_eight_qubits():
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert "0 disagreements" in result.stdout

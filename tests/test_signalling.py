@@ -352,8 +352,8 @@ class TestComplexity:
         assert all(r.relation is Relation.FULL_SIGNALLING and r.target.name == "S1999" for r in rows)
 
     def test_matrix_past_the_word_set_cap(self, monkeypatch):
-        # 200 labels, over three times the 63-label word-set cap, with the
-        # io_partition fold and the word-set builder made to fail
+        # 200 labels, whose D_x of 3^100 - 1 words no builder could hold,
+        # with the io_partition fold and the word-set builder made to fail
         def refuse(*args, **kwargs):
             raise AssertionError("io_partition or build_D was called")
 

@@ -25,7 +25,6 @@ from hotypes import (
     tensor,
 )
 from hotypes.strings import (
-    UniverseTooLargeError,
     _rest,
     canonical_universe,
     concat,
@@ -76,9 +75,12 @@ class TestConstructors:
         assert len(traceless_set([A, B])) == 3
 
     def test_universe_cap(self):
-        too_many = [Label(f"L{i}") for i in range(64)]
-        with pytest.raises(UniverseTooLargeError):
-            full_set(too_many)
+        # no label cap: a universe of 64 or more labels is accepted
+        for n in (64, 1000):
+            labels = [Label(f"L{i:04}") for i in reversed(range(n))]
+            assert canonical_universe(labels) == tuple(reversed(labels))
+            with pytest.raises(ValueError, match="occurs more than once"):
+                canonical_universe(labels + [Label("L0000", 3)])
 
     def test_universe_is_sorted_and_duplicate_free(self):
         assert canonical_universe([B, A]) == (A, B)
@@ -454,6 +456,19 @@ class TestCriticalSets:
             free = len(analysis.inputs) - len(pairs)
             assert len(s) == 2**free * (2 ** len(pairs) - 1)
             checked += 1
+
+    def test_word_budget_is_checked_before_the_set_is_built(self, monkeypatch):
+        x = parse_type("(A->B)*(C->D)*(E->F)")
+        pairs = [("A", "B"), ("C", "D")]  # (2^2 - 1) 2^1 words, E free
+        monkeypatch.setattr(hotypes.strings, "WORD_BUDGET", 6)
+        assert len(critical_set_multi(x, pairs)) == 6
+        monkeypatch.setattr(hotypes.strings, "WORD_BUDGET", 5)
+        with pytest.raises(ValueError, match="need 6 words, over the budget of 5"):
+            critical_set_multi(x, pairs)
+        monkeypatch.undo()
+        channels = parse_type("*".join(f"(A{i}->B{i})" for i in range(24)))
+        with pytest.raises(ValueError, match=f"need {2**23} words, over the budget of {2**22}"):
+            critical_set_multi(channels, [("A0", "B0")])
 
     def test_rejects_wrong_roles(self):
         x = parse_type("(A->B)*(C->D)")

@@ -6,6 +6,7 @@ import gc
 import pickle
 import random
 import re
+import time
 import weakref
 from fractions import Fraction
 
@@ -378,6 +379,14 @@ class TestIoPartition:
             for a in analysis.outputs:
                 closed /= a.dimension
             assert analysis.lam == closed
+
+    def test_lambda_of_a_wide_tensor(self):
+        # the recursion's terms, unreduced, held quadratically many bits:
+        # 2000 channels took 3.2 s and grew peak RSS to 1.4 GB
+        x = parse_type("*".join(f"(A{i}->B{i})" for i in range(2000)), {"B0": 3})
+        start = time.perf_counter()
+        assert io_partition(x).lam == Fraction(1, 3 * 2**1999)
+        assert time.perf_counter() - start < 1.0
 
     def test_bar_flips_the_partition(self):
         rng = random.Random(13)
