@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .strings import BitWord, _check_words, _critical_word, build_D, word_count
 from .type_core import (
@@ -27,9 +27,6 @@ from .type_core import (
     TRIVIAL,
     TypeExpr,
     _flat_tree,
-    _fold,
-    _roles,
-    elementary_systems,
     io_partition,
     tensor,
 )
@@ -94,7 +91,7 @@ class ContractionSpec:
     @staticmethod
     def from_text(text: str, x: TypeExpr) -> "ContractionSpec":
         """Parse pair syntax ``A:B,C:D`` against the labels of x."""
-        by_name = {a.name: a for a in elementary_systems(x)}
+        tree = _flat_tree(x)
         pairs = []
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -102,11 +99,8 @@ class ContractionSpec:
                 continue
             if ":" not in chunk:
                 raise ValueError(f"bad pair {chunk!r}; expected Input:Output")
-            left, right = (part.strip() for part in chunk.split(":", 1))
-            for name in (left, right):
-                if name not in by_name:
-                    raise ValueError(f"label {name!r} does not occur in the type")
-            pairs.append((by_name[left], by_name[right]))
+            left, right = (tree.position(part.strip()) for part in chunk.split(":", 1))
+            pairs.append((tree.labels[left], tree.labels[right]))
         return ContractionSpec.of(pairs)
 
 
@@ -151,38 +145,25 @@ def check_equivalence(x: TypeExpr, y: TypeExpr) -> Verdict:
 
 # --- contraction admissibility --------------------------------------------------
 
-def _resolve_pairs(x: TypeExpr, spec: ContractionSpec) -> list[tuple[Label, Label]]:
-    """Bind pair labels by name to the systems of x; the two systems of one
-    pair must share a dimension."""
-    labels, index = _flat_tree(x).labels, _roles(x).index
-    resolved = []
+def _orient_pairs(x: TypeExpr, spec: ContractionSpec) -> tuple[Verdict | None, list[tuple[Label, Label]]]:
+    """Bind the pair labels by name to the systems of x, the two of a pair
+    sharing a dimension, and normalize each pair to (input, output) by K;
+    the first pair of two inputs or two outputs rejects."""
+    tree = _flat_tree(x)
+    oriented = []
     for a, b in spec.pairs:
-        for lbl in (a, b):
-            if lbl.name not in index:
-                raise ValueError(f"label {lbl.name!r} does not occur in the type")
-        ra, rb = labels[index[a.name]], labels[index[b.name]]
+        i, j = tree.position(a), tree.position(b)
+        ra, rb = tree.labels[i], tree.labels[j]
         if ra.dimension != rb.dimension:
             raise ValueError(
                 f"contracted pair ({ra.name}, {rb.name}) has unequal dimensions "
                 f"{ra.dimension} != {rb.dimension}"
             )
-        resolved.append((ra, rb))
-    return resolved
-
-
-def _orient_pairs(
-    inputs: Collection[Label], pairs: list[tuple[Label, Label]]
-) -> tuple[Verdict | None, list[tuple[Label, Label]]]:
-    """Normalize each pair to (input, output); reject in-in and out-out."""
-    oriented = []
-    for a, b in pairs:
-        a_in, b_in = a in inputs, b in inputs
-        if a_in and b_in:
-            return Verdict(False, Reason.INPUT_INPUT), []
-        if not a_in and not b_in:
-            return Verdict(False, Reason.OUTPUT_OUTPUT), []
-        oriented.append((a, b) if a_in else (b, a))
-    return None, oriented
+        oriented.append((i, j) if tree.k[i] else (j, i))
+    for i, j in oriented:
+        if tree.k[i] == tree.k[j]:
+            return Verdict(False, Reason.INPUT_INPUT if tree.k[i] else Reason.OUTPUT_OUTPUT), []
+    return None, [(tree.labels[i], tree.labels[j]) for i, j in oriented]
 
 
 def check_contraction(x: TypeExpr, spec: ContractionSpec) -> Verdict:
@@ -192,19 +173,19 @@ def check_contraction(x: TypeExpr, spec: ContractionSpec) -> Verdict:
     reduce to an emptiness test of D_x against the critical set of the
     oriented pairs, decided by the class pass over the type tree.
     """
-    roles = _roles(x)
-    rejection, oriented = _orient_pairs(roles.input_set, _resolve_pairs(x, spec))
+    rejection, oriented = _orient_pairs(x, spec)
     if rejection is not None:
         return rejection
     witness = _critical_word(x, oriented) if oriented else None
     if witness is not None:
         return Verdict(False, Reason.CRITICAL_SET, witness=witness)
     contracted = {name for pair in oriented for name in (pair[0].name, pair[1].name)}
+    tree = _flat_tree(x)
     return Verdict(
         True,
         Reason.OK,
-        result_in=tuple(a for a in roles.inputs if a.name not in contracted),
-        result_out=tuple(a for a in roles.outputs if a.name not in contracted),
+        result_in=tuple(a for a in tree.inputs() if a.name not in contracted),
+        result_out=tuple(a for a in tree.outputs() if a.name not in contracted),
     )
 
 
@@ -221,7 +202,7 @@ def _rename_labels(x: TypeExpr, mapping: dict[str, str]) -> TypeExpr:
     def rename(a: Label) -> TypeExpr:
         return Elementary(Label(mapping.get(a.name, a.name), a.dimension))
 
-    return _fold(x, rename, TRIVIAL, Arrow)
+    return _flat_tree(x).fold(rename, TRIVIAL, Arrow)
 
 
 def check_composition(x: TypeExpr, y: TypeExpr) -> Verdict:

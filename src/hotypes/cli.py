@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -79,11 +80,21 @@ def _label_names(labels) -> list[str]:
     return [a.name for a in labels]
 
 
+def _check_digits(what: str, n: int) -> None:
+    """Refuse, before any output, an integer too long for Python to print."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and n >= 10**limit:
+        digits = int(n.bit_length() * math.log10(2))  # n's digits, or one less
+        raise CliError(f"{what} has {digits + (n >= 10**digits)} digits, over Python's limit of {limit} for printing")
+
+
 def cmd_analyze(args, dims: dict[str, int]) -> int:
     start = time.perf_counter()
     x, renamed = _parse(args.type, dims)
     analysis = io_partition(x)
     count = word_count(x)
+    _check_digits("|D|", count)
+    _check_digits("the denominator of lambda", analysis.lam.denominator)
     # an empty D_x is listed from its count alone, with no word set built
     words = [] if count == 0 else build_D(x).render() if count <= 64 else None
     report = {

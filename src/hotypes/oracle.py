@@ -27,13 +27,9 @@ import numpy as np
 from .admissibility import ContractionSpec, check_contraction
 from .signalling import Relation, signals
 from .strings import BitWord, WordSet, _check_words, _class_count, build_D, canonical_universe, word_count
-from .type_core import IoAnalysis, Label, TypeExpr, _flat_tree, _roles, io_partition
+from .type_core import IoAnalysis, Label, TypeExpr, _flat_tree, _name_order, io_partition
 
 BASIS_BYTES = 1 << 30
-
-
-def _dims(labels: Sequence[Label]) -> tuple[int, ...]:
-    return tuple(a.dimension for a in labels)
 
 
 def _side(labels: Sequence[Label]) -> int:
@@ -65,7 +61,7 @@ class OperatorMatrix:
         return self.data.shape[0]
 
     def tensor_view(self) -> np.ndarray:
-        dims = _dims(self.labels)
+        dims = tuple(a.dimension for a in self.labels)
         return self.data.reshape(dims + dims)
 
 
@@ -229,8 +225,8 @@ def _to_matrix(labels: tuple[Label, ...], coeffs: np.ndarray) -> OperatorMatrix:
 def _blocks(words: WordSet) -> Iterator[tuple[slice, ...]]:
     """Each word's coefficients, in word-set order: the identity index at
     its 1 bits and the traceless indices at its 0 bits, axes in canonical
-    label order.  Each label's bit position is looked up once per set."""
-    shifts = [words.universe.index(a) for a in canonical_universe(words.universe)]
+    label order."""
+    shifts = _name_order(words.universe)
     for word in words:
         yield tuple(slice(0, 1) if word.bits >> s & 1 else slice(1, None) for s in shifts)
 
@@ -662,8 +658,8 @@ def verify(
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     _check_seed(seed)
-    analysis, roles = io_partition(x), _roles(x)
-    inputs, outputs = roles.inputs, roles.outputs
+    analysis, tree = io_partition(x), _flat_tree(x)
+    inputs, outputs = tree.inputs(), tree.outputs()
     lambda_ok = analysis.lam == Fraction(1, _side(outputs))
     _check_words(word_count(x))  # before D_x is enumerated
     basis_size = _basis_size(build_D(x))
@@ -672,7 +668,6 @@ def verify(
         pairs = []
     elif pairs is None:
         pairs = [(a, b) for a in inputs for b in outputs if a.dimension == b.dimension]
-    input_names = {a.name for a in inputs}
     entries: list[dict] = []
     sampled: list[tuple[dict, Label, Label, list[str]]] = []
     for a, b in pairs:
@@ -684,7 +679,7 @@ def verify(
             # rejected on roles alone (both inputs or both outputs);
             # there is no signalling relation to compare against
             continue
-        if a.name not in input_names:
+        if not tree.k[tree.index[a.name]]:
             a, b = b, a
         relation = signals(x, a, b).relation
         entry["relation"] = relation.value

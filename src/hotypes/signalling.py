@@ -18,7 +18,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .strings import _critical_word
-from .type_core import Label, TypeExpr, _flat_tree, _FlatTree, _roles, render_type
+from .type_core import Label, TypeExpr, _flat_tree, _FlatTree, render_type
 
 
 class Relation(str, Enum):
@@ -43,10 +43,10 @@ class SignallingVerdict(NamedTuple):
 
 def _resolve_pair(x: TypeExpr, a: Label | str, b: Label | str) -> tuple[int, int]:
     """Textual positions of input a (K = 1) and output b (K = 0) of x."""
-    tree, index = _flat_tree(x), _roles(x).index
+    tree = _flat_tree(x)
     name_a = a.name if isinstance(a, Label) else a
     name_b = b.name if isinstance(b, Label) else b
-    i, j = index.get(name_a), index.get(name_b)
+    i, j = tree.index.get(name_a), tree.index.get(name_b)
     if i is None or tree.k[i] != 1:
         raise ValueError(f"{name_a!r} is not an input system of the type")
     if j is None or tree.k[j] != 0:

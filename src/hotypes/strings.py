@@ -2,8 +2,8 @@
 
 Words are bitmasks over a label universe kept in the type's textual label
 order (bit i holds the value at the i-th label), so concatenation is a
-shift.  Sorted-name order is used only to show words: rendering, iteration
-and the smallest member.  Word sets are plain frozensets of masks, so
+shift.  Sorted-name order (``_name_order``) only shows words: rendering,
+iteration and the smallest member.  Word sets are frozensets of masks, so
 every operation here is exact and exhaustive.  Every word over a subterm
 is in D_x, is the all-ones word, or is in the rest R_x, and one rule on
 these three classes serves every use: ``build_D`` builds D_x from the
@@ -30,7 +30,7 @@ from .type_core import (
     _distinct_labels,
     _flat_tree,
     _memo,
-    _roles,
+    _name_order,
 )
 
 # Held words cost about 200 bytes each: on CPython 3.11 (x86-64), equivalence
@@ -40,14 +40,20 @@ WORD_BUDGET = 1 << 22
 
 
 def _check_words(count: int) -> None:
-    """Refuse ``count`` words, counted before any is built, over the budget."""
+    """Refuse ``count`` words, counted before any is built, over the budget;
+    a count too long for Python to print is named by a power of two."""
     if count > WORD_BUDGET:
-        raise ValueError(f"word sets need {count} words, over the budget of {WORD_BUDGET}")
+        try:
+            shown = str(count)
+        except ValueError:
+            shown = f"more than 2^{(count - 1).bit_length() - 1}"
+        raise ValueError(f"word sets need {shown} words, over the budget of {WORD_BUDGET}")
 
 
 def canonical_universe(labels: Iterable[Label]) -> tuple[Label, ...]:
     """Sort labels by name and reject duplicates (``DuplicateLabelError``)."""
-    return _distinct_labels(sorted(labels, key=lambda a: a.name))
+    labels = tuple(labels)
+    return tuple([labels[i] for i in _name_order(labels)])
 
 
 @dataclass(frozen=True)
@@ -70,10 +76,8 @@ class BitWord:
         raise ValueError(f"label {name!r} not in universe")
 
     def render(self) -> str:
-        """Bits in sorted-name order, e.g. ``1_A0_B``."""
-        if not self.universe:
-            return "ε"
-        return "".join(f"{self.bit(a)}_{a.name}" for a in canonical_universe(self.universe))
+        """Bits in sorted-name order, e.g. ``1_A0_B``; the null string is ``ε``."""
+        return "".join(f"{self.bits >> i & 1}_{self.universe[i].name}" for i in _name_order(self.universe)) or "ε"
 
     def __str__(self) -> str:
         return self.render()
@@ -91,12 +95,11 @@ class WordSet:
 
     def __iter__(self) -> Iterator[BitWord]:
         """Members in sorted-name lexicographic order (0 < 1)."""
-        order = sorted(self.masks, key=self._lex_key())
-        return iter(BitWord(self.universe, m) for m in order)
+        return (BitWord(self.universe, m) for m in sorted(self.masks, key=self._lex_key()))
 
     def _lex_key(self):
         """Sort key of masks for sorted-name lexicographic order."""
-        order = [self.universe.index(a) for a in canonical_universe(self.universe)]
+        order = _name_order(self.universe)
         return lambda mask: [(mask >> i) & 1 for i in order]
 
     def _aligned(self, universe: tuple[Label, ...], masks: Iterable[int]) -> frozenset[int]:
@@ -303,7 +306,7 @@ def _critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord
     order, 0 first while D stays reachable, climbing from each changed
     leaf.  The witness is the smallest hit over all patterns.
     """
-    tree, roles = _flat_tree(x), _roles(x)
+    tree, order = _flat_tree(x), _memo(x, "_name_order", lambda x: _name_order(_flat_tree(x).labels))
     values = _memo(x, "_base_classes", _base_classes)[:]
     patterns = (1 << len(pairs)) - 1
     if patterns > PATTERN_BUDGET:
@@ -311,8 +314,7 @@ def _critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord
             f"{len(pairs)} contraction pairs need {patterns} critical-set patterns; "
             f"the budget is {PATTERN_BUDGET}"
         )
-    index, order = roles.index, roles.order
-    pair_index = [(index[a.name], index[b.name]) for a, b in pairs]
+    pair_index = [(tree.index[a.name], tree.index[b.name]) for a, b in pairs]
     left, right, parent, leaf_node = tree.left, tree.right, tree.parent, tree.leaf_node
     root = len(left) - 1
 
@@ -365,8 +367,7 @@ def _critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord
             values[:] = cube
     if best is None:
         return None
-    canonical = tuple(tree.labels[i] for i in order)
-    return BitWord(canonical, sum(bit << r for r, bit in enumerate(best)))
+    return BitWord(tuple(tree.labels[i] for i in order), sum(bit << r for r, bit in enumerate(best)))
 
 
 # --- critical sets -----------------------------------------------------------

@@ -3,7 +3,10 @@
 A type is either an elementary system label, the trivial one-dimensional
 type ``I``, or an arrow ``(x -> y)``.  Bar and tensor are surface sugar:
 ``~x`` stores as ``x -> I`` and ``x * y`` as ``~(x -> ~y)``, so the core
-representation is arrows all the way down.
+representation is arrows all the way down.  A type's labels have one
+record, its flat tree: positions, K parities and a name index beside the
+node arrays that every fold runs over.  Words show labels in one order,
+the sorted-name order of ``_name_order``.
 """
 
 from __future__ import annotations
@@ -328,7 +331,7 @@ class _FlatTree(NamedTuple):
     at the root, and ``turns[j]`` is the parity of the left turns on the
     path from the root down to node j.  Label i (textual order) sits at
     node ``leaf_node[i]`` and has K parity ``k[i]``; leaves of ``I``
-    belong to no label."""
+    belong to no label.  ``index`` finds a label's position by name."""
 
     labels: tuple[Label, ...]
     k: tuple[int, ...]
@@ -339,6 +342,7 @@ class _FlatTree(NamedTuple):
     first: tuple[int, ...]
     turns: tuple[int, ...]
     term: tuple[TypeExpr | None, ...]  # None at the root, see ``subterm``
+    index: dict[str, int]  # label name -> textual position of its first occurrence
 
     def inputs(self) -> tuple[Label, ...]:
         return tuple(a for a, k in zip(self.labels, self.k) if k == 1)
@@ -347,12 +351,12 @@ class _FlatTree(NamedTuple):
         return tuple(a for a, k in zip(self.labels, self.k) if k == 0)
 
     def position(self, label: Label | str) -> int:
-        """Textual position of the label, found by name."""
+        """Textual position of the label, found by name in ``index``."""
         name = label.name if isinstance(label, Label) else label
-        for i, a in enumerate(self.labels):
-            if a.name == name:
-                return i
-        raise ValueError(f"label {name!r} does not occur in the type")
+        i = self.index.get(name)
+        if i is None:
+            raise ValueError(f"label {name!r} does not occur in the type")
+        return i
 
     def subterm(self, x: TypeExpr, j: int) -> TypeExpr:
         """The subterm at node j of x, the type this tree was walked from.
@@ -421,47 +425,31 @@ def _memo(x: TypeExpr, key: str, build):
 def _flat_tree(x: TypeExpr) -> _FlatTree:
     """The flat tree of x, kept with x (``_memo``), so every structural
     question about one type object shares one walk and the root's subterm
-    is x itself."""
-    return _memo(x, "_flat_tree", _walk_tree)
+    is x itself.  A repeated label raises ``DuplicateLabelError``."""
+    return _memo(x, "_flat_tree", _distinct_tree)
 
 
-class _Roles(NamedTuple):
-    """What every decision about one type reads besides its flat tree: the
-    inputs and the outputs in textual order, the set of inputs, the
-    textual position of each label name, and the textual positions in
-    sorted-name order."""
-
-    inputs: tuple[Label, ...]
-    outputs: tuple[Label, ...]
-    input_set: frozenset[Label]
-    index: dict[str, int]
-    order: tuple[int, ...]
+def _distinct_tree(x: TypeExpr) -> _FlatTree:
+    tree = _walk_tree(x)
+    if len(tree.index) < len(tree.labels):
+        _distinct_labels(tree.labels)  # raises, naming the first repeat
+    return tree
 
 
-def _roles(x: TypeExpr) -> _Roles:
-    """The roles of x, built on the first decision about x and kept next to
-    its flat tree (``_memo``); the structural walk alone does not build
-    them."""
-    return _memo(x, "_roles", _build_roles)
-
-
-def _build_roles(x: TypeExpr) -> _Roles:
-    tree = _flat_tree(x)
-    names = [a.name for a in tree.labels]
-    inputs = tree.inputs()
-    return _Roles(
-        inputs,
-        tree.outputs(),
-        frozenset(inputs),
-        {name: i for i, name in enumerate(names)},
-        tuple(sorted(range(len(names)), key=names.__getitem__)),
-    )
+def _name_order(labels: Sequence[Label]) -> tuple[int, ...]:
+    """The positions of labels in sorted-name order, the one label order
+    every word is shown in; a repeated name raises ``DuplicateLabelError``."""
+    names = [a.name for a in labels]
+    order = tuple(sorted(range(len(names)), key=names.__getitem__))
+    if len(set(names)) < len(names):
+        _distinct_labels([labels[i] for i in order])  # raises, naming the least repeat
+    return order
 
 
 def _walk_tree(x: TypeExpr) -> _FlatTree:
-    """One iterative post-order walk of x: its labels in textual order
-    (a repeated name raises), their K parities (left turns on the root
-    path, see below) and the node arrays."""
+    """One iterative post-order walk of x: its labels in textual order, their
+    K parities (left turns on the root path, see below), the node arrays
+    and the name index.  Repeats are kept; ``_flat_tree`` refuses them."""
     labels: list[Label] = []
     k: list[int] = []
     leaf_node: list[int] = []
@@ -471,6 +459,7 @@ def _walk_tree(x: TypeExpr) -> _FlatTree:
     first: list[int] = []
     turns: list[int] = []
     term: list[TypeExpr | None] = []
+    index: dict[str, int] = {}
     finished: list[int] = []  # nodes whose parent is not yet numbered
     todo: list[tuple[TypeExpr, int, bool]] = [(x, 0, False)]
     while todo:
@@ -487,6 +476,7 @@ def _walk_tree(x: TypeExpr) -> _FlatTree:
             l = r = -1
             first.append(j)
             if isinstance(node, Elementary):
+                index.setdefault(node.label.name, len(labels))
                 leaf_node.append(j)
                 labels.append(node.label)
                 k.append(parity)
@@ -497,8 +487,8 @@ def _walk_tree(x: TypeExpr) -> _FlatTree:
         term.append(node)
         finished.append(j)
     term[-1] = None  # the root is x
-    arrays = (left, right, parent, first, turns, term)
-    return _FlatTree(_distinct_labels(labels), tuple(k), tuple(leaf_node), *map(tuple, arrays))
+    arrays = (labels, k, leaf_node, left, right, parent, first, turns, term)
+    return _FlatTree(*map(tuple, arrays), index)
 
 
 def elementary_systems(x: TypeExpr) -> tuple[Label, ...]:
@@ -524,13 +514,13 @@ def relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
         return x, {}
     except DuplicateLabelError:
         pass
-    in_use = {node.label.name for node in x.walk() if isinstance(node, Elementary)}
+    tree = _walk_tree(x)
     seen: set[str] = set()
     provenance: dict[str, str] = {}
 
     def fresh(base: str) -> str:
         counter = 1
-        while f"{base}{counter}" in in_use or f"{base}{counter}" in seen:
+        while f"{base}{counter}" in tree.index or f"{base}{counter}" in seen:
             counter += 1
         return f"{base}{counter}"
 
@@ -542,7 +532,7 @@ def relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
         seen.add(label.name)
         return Elementary(label)
 
-    return _fold(x, rename, TRIVIAL, Arrow), provenance
+    return tree.fold(rename, TRIVIAL, Arrow), provenance
 
 
 # --- the K parity function and the input/output partition -------------------
@@ -582,29 +572,6 @@ class IoAnalysis:
 
     def outputs_ordered(self) -> tuple[Label, ...]:
         return tuple(a for a in self.elementary if a in self.outputs)
-
-
-def _fold(x: TypeExpr, leaf, trivial, arrow):
-    """Evaluate x bottom-up without recursion: ``leaf(label)`` at each
-    elementary system, ``trivial`` at I, and ``arrow(left, right)`` on the
-    values of the two sides of each arrow.  It walks the objects, so it
-    serves the rebuilders, whose types may repeat a label; everything
-    else folds over the flat tree (``_FlatTree.fold``)."""
-    values: list = []
-    todo: list[tuple[TypeExpr, bool]] = [(x, False)]
-    while todo:
-        node, sides_done = todo.pop()
-        if isinstance(node, Arrow):
-            if sides_done:
-                right = values.pop()
-                values.append(arrow(values.pop(), right))
-            else:
-                todo += [(node, True), (node.right, False), (node.left, False)]
-        elif isinstance(node, Elementary):
-            values.append(leaf(node.label))
-        else:
-            values.append(trivial)
-    return values[0]
 
 
 def _lambda_arrow(left, right):

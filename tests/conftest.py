@@ -12,8 +12,10 @@ loops, the oracle check pair by pair, the partial transpose, partial
 trace and link product as textbook matrix operations, the tokenizer as a
 match loop that re-checks every name, the signalling matrix as one climb
 per pair, the parser as recursive descent, the critical-set pass from
-scratch on every call, equivalence as inclusion both ways, and type
-equality as the recursive dataclass comparison.  The identity and
+scratch on every call, equivalence as inclusion both ways, type
+equality as the recursive dataclass comparison, the fold over the type's
+objects with the relabeling built on it, and pair orientation by
+membership in the input set.  The identity and
 entangled-pair operators and the yes/no channel and no-signalling
 predicates over the oracle's residuals live here too, since only tests
 use them, and so does the environment of child processes, which puts the
@@ -27,7 +29,7 @@ import random
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import hypothesis
 import numpy as np
@@ -55,7 +57,7 @@ from hotypes import (
     io_partition,
     tensor,
 )
-from hotypes.admissibility import _orient_pairs, _prime, _rename_labels, _resolve_pairs
+from hotypes.admissibility import _orient_pairs, _prime, _rename_labels
 from hotypes.oracle import (
     VerifyReport,
     _defects,
@@ -299,6 +301,64 @@ def _tensor_fold(parts: Sequence[TypeExpr]) -> TypeExpr:
     return out
 
 
+def reference_orient_pairs(
+    inputs: Collection[Label], pairs: Sequence[tuple[Label, Label]]
+) -> tuple[Verdict | None, list[tuple[Label, Label]]]:
+    """Each pair normalized to (input, output) by membership in the input
+    set; the first pair of two inputs or two outputs rejects."""
+    oriented = []
+    for a, b in pairs:
+        a_in, b_in = a in inputs, b in inputs
+        if a_in and b_in:
+            return Verdict(False, Reason.INPUT_INPUT), []
+        if not a_in and not b_in:
+            return Verdict(False, Reason.OUTPUT_OUTPUT), []
+        oriented.append((a, b) if a_in else (b, a))
+    return None, oriented
+
+
+def reference_fold(x: TypeExpr, leaf, trivial, arrow):
+    """Evaluate x bottom-up over its objects without recursion:
+    ``leaf(label)`` at each elementary system, ``trivial`` at I, and
+    ``arrow(left, right)`` on the values of the two sides of each arrow.
+    The reference for ``_FlatTree.fold``; repeated labels are allowed."""
+    values: list = []
+    todo: list[tuple[TypeExpr, bool]] = [(x, False)]
+    while todo:
+        node, sides_done = todo.pop()
+        if isinstance(node, Arrow):
+            if sides_done:
+                right = values.pop()
+                values.append(arrow(values.pop(), right))
+            else:
+                todo += [(node, True), (node.right, False), (node.left, False)]
+        elif isinstance(node, Elementary):
+            values.append(leaf(node.label))
+        else:
+            values.append(trivial)
+    return values[0]
+
+
+def reference_relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
+    """``relabel_unique`` by the object fold: every label renamed in
+    textual order, the k-th repeat of N to the first free N1, N2, ..."""
+    in_use = {node.label.name for node in x.walk() if isinstance(node, Elementary)}
+    seen: set[str] = set()
+    provenance: dict[str, str] = {}
+
+    def rename(label: Label) -> TypeExpr:
+        if label.name in seen:
+            counter = 1
+            while f"{label.name}{counter}" in in_use | seen:
+                counter += 1
+            provenance[f"{label.name}{counter}"] = label.name
+            label = Label(f"{label.name}{counter}", label.dimension)
+        seen.add(label.name)
+        return Elementary(label)
+
+    return reference_fold(x, rename, TRIVIAL, Arrow), provenance
+
+
 def supermap_inclusion_form(x: TypeExpr, spec: ContractionSpec) -> Verdict:
     """Decide the contraction by the equivalent type inclusion.
 
@@ -307,7 +367,7 @@ def supermap_inclusion_form(x: TypeExpr, spec: ContractionSpec) -> Verdict:
     check_inclusion against it.  Agrees with check_contraction.
     """
     analysis = io_partition(x)
-    rejection, oriented = _orient_pairs(analysis.inputs, _resolve_pairs(x, spec))
+    rejection, oriented = _orient_pairs(x, spec)
     if rejection is not None:
         raise ValueError(f"pairs must join inputs with outputs ({rejection.reason.value})")
     if not oriented:

@@ -34,7 +34,6 @@ from hotypes import (
     signals,
     verify,
 )
-from hotypes.admissibility import _orient_pairs
 from hotypes.strings import _critical_word
 from hotypes.type_core import _flat_tree
 from conftest import (
@@ -44,6 +43,7 @@ from conftest import (
     random_type_with_io,
     reference_check_composition,
     reference_critical_word,
+    reference_orient_pairs,
     reference_rows,
 )
 
@@ -226,7 +226,7 @@ def _reference_contraction(x, spec: ContractionSpec) -> Verdict:
     analysis = io_partition(x)
     by_name = {a.name: a for a in analysis.elementary}
     pairs = [(by_name[a.name], by_name[b.name]) for a, b in spec.pairs]
-    rejection, oriented = _orient_pairs(analysis.inputs, pairs)
+    rejection, oriented = reference_orient_pairs(analysis.inputs, pairs)
     if rejection is not None:
         return rejection
     witness = reference_critical_word(x, oriented)

@@ -421,6 +421,54 @@ class TestBudgets:
         assert run_cli(capsys, *argv)[0] == 0
 
 
+@pytest.fixture
+def few_printed_digits():
+    """Python's integer-to-text limit lowered to its least value, 640
+    digits, and restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python prints integers of any length")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+class TestIntegerPrintLimit:
+    # 1400 channels: |D| = 3^1400 - 1 has 668 digits, lambda's denominator 2^1400 has 422
+    CHANNELS = "*".join(f"(A{i}->B{i})" for i in range(1400))
+
+    def _refused(self, capsys, argv: list[str]) -> str:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "set_int_max_str_digits" not in err
+        return err
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_analyze_names_the_digits_and_the_limit(self, capsys, few_printed_digits, as_json):
+        argv = ["--json"] * as_json + ["analyze", self.CHANNELS]
+        err = self._refused(capsys, argv)
+        assert err == "error: |D| has 668 digits, over Python's limit of 640 for printing\n"
+
+    def test_analyze_checks_the_denominator_of_lambda(self, capsys, few_printed_digits, tmp_path):
+        # 300 outputs of dimension 1000: lambda = 1/10^900, while |D| = 2^300 - 1 prints
+        dims = tmp_path / "dims"
+        dims.write_text("".join(f"A{i} = 1000\n" for i in range(300)))
+        err = self._refused(capsys, ["--dims", str(dims), "analyze", "*".join(f"A{i}" for i in range(300))])
+        assert err == "error: the denominator of lambda has 901 digits, over Python's limit of 640 for printing\n"
+
+    @pytest.mark.parametrize("relation", ["inclusion", "equivalence"])
+    def test_word_budget_names_a_power_of_two(self, capsys, few_printed_digits, relation):
+        # 2 (3^1400 - 1) words lie between 2^2219 and 2^2220
+        err = self._refused(capsys, ["check", relation, self.CHANNELS, self.CHANNELS])
+        assert err == "error: word sets need more than 2^2219 words, over the budget of 4194304\n"
+
+    def test_counts_that_print_are_named_in_full(self, capsys, few_printed_digits):
+        code, report = run_json(capsys, "analyze", "*".join(f"(A{i}->B{i})" for i in range(1300)))
+        assert code == 0 and report["word_count"] == 3**1300 - 1  # 621 digits
+
+
 class TestDimsHandling:
     def test_dims_file(self, capsys, tmp_path):
         dims = tmp_path / "dims.cfg"

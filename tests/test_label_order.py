@@ -10,12 +10,19 @@ from __future__ import annotations
 import json
 import random
 import re
+import time
+
+import numpy as np
+import pytest
 
 from hotypes import (
     Arrow,
+    BitWord,
     ContractionSpec,
+    DuplicateLabelError,
     Elementary,
     Label,
+    OperatorMatrix,
     Reason,
     WordSet,
     build_D,
@@ -28,6 +35,7 @@ from hotypes import (
     signals,
 )
 from hotypes.cli import main
+from hotypes.oracle import _blocks
 from hotypes.strings import canonical_universe, critical_set_multi, word_count
 
 from conftest import (
@@ -166,3 +174,63 @@ def test_oracle_verify_on_permuted_channels(capsys):
     x = parse_type(text)
     want = {f"{a}:{b}": signals(x, a, b).relation.value for a in "DB" for b in "CA"}
     assert {entry["pair"]: entry["relation"] for entry in report["pairs"]} == want
+
+
+def _sorted_bits(universe, mask: int) -> list[tuple[str, int]]:
+    """The word's (name, bit) pairs in sorted-name order, by sorting names."""
+    return sorted((a.name, mask >> i & 1) for i, a in enumerate(universe))
+
+
+def test_shown_order_equals_sorted_name_references():
+    # names such as B10 < B2 sort apart from their textual order
+    rng = random.Random(101)
+    for size in (1, 2, 3, 5, 9, 14, 40, 1000):
+        names = rng.sample([f"{c}{n}" for c in "ABCZ" for n in range(400)], size)
+        universe = tuple(Label(name, rng.choice((2, 3))) for name in names)
+        assert size < 3 or list(universe) != sorted(universe)
+        masks = {rng.getrandbits(size) for _ in range(30)}
+        words = WordSet(universe, frozenset(masks))
+
+        def key(mask):
+            return [bit for _, bit in _sorted_bits(universe, mask)]
+
+        for mask in masks:
+            expected = "".join(f"{bit}_{name}" for name, bit in _sorted_bits(universe, mask))
+            assert BitWord(universe, mask).render() == expected
+        ordered = sorted(masks, key=key)
+        assert [w.bits for w in words] == ordered
+        assert words.render() == [BitWord(universe, m).render() for m in ordered]
+        least = words.min_word()
+        assert least.universe == tuple(sorted(universe, key=lambda a: a.name))
+        assert least.render() == BitWord(universe, ordered[0]).render()
+        blocks = [
+            tuple(slice(0, 1) if bit else slice(1, None) for _, bit in _sorted_bits(universe, m)) for m in ordered
+        ]
+        assert list(_blocks(words)) == blocks
+
+
+def test_rendering_a_1000_label_witness_is_fast():
+    # 500 channels: the witness of A7:B7 is over 1000 labels in sorted-name order
+    x = parse_type("*".join(f"(A{i}->B{i})" for i in range(500)))
+    witness = check_contraction(x, ContractionSpec.from_text("A7:B7", x)).witness
+    witness.render()  # warm
+    runs = []
+    for _ in range(5):
+        start = time.perf_counter()
+        rendered = witness.render()
+        runs.append(time.perf_counter() - start)
+    assert min(runs) < 0.01  # the parent's label scans took about 30 ms
+    assert rendered == "".join(f"{bit}_{name}" for name, bit in _sorted_bits(witness.universe, witness.bits))
+
+
+def test_a_repeated_name_is_refused_where_words_are_shown():
+    universe = (Label("B"), Label("A"), Label("A", 3))
+    message = "label 'A' occurs more than once"
+    with pytest.raises(DuplicateLabelError, match=message):
+        BitWord(universe, 0).render()
+    with pytest.raises(DuplicateLabelError, match=message):
+        list(WordSet(universe, frozenset({0, 1})))
+    with pytest.raises(DuplicateLabelError, match=message):
+        canonical_universe(universe)
+    with pytest.raises(DuplicateLabelError, match=message):
+        OperatorMatrix((Label("A"), Label("A")), np.eye(4))

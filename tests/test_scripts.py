@@ -14,6 +14,7 @@ import hotypes.oracle
 from conftest import child_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BENCH = SCRIPTS.parent / "bench"
 
 
 def _load_crossvalidate():
@@ -33,6 +34,19 @@ def test_worked_example_runs_clean():
     assert result.returncode == 0
     assert "inadmissible" in result.stdout
     assert "no-signalling" in result.stdout
+
+
+def test_bench_selftest_passes():
+    # the self-test runs the benchmark's workloads on the package under
+    # test, so renaming a name the benchmark reads fails here
+    result = subprocess.run(
+        [sys.executable, str(BENCH / "selftest.py")],
+        capture_output=True,
+        text=True,
+        env={**child_env(), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.count("ok  ") == 3 and "FAIL" not in result.stdout
 
 
 def test_crossvalidate_reports_no_disagreements():

@@ -39,9 +39,17 @@ from hotypes import (
 from hotypes import type_core
 from hotypes.oracle import basis_dimension
 from hotypes.strings import _count_arrow, word_count
-from hotypes.type_core import _fold, _lambda_arrow, _tokenize
+from hotypes.type_core import _lambda_arrow, _tokenize
 
-from conftest import random_type, reference_equal, reference_parse, reference_tokenize, type_exprs
+from conftest import (
+    random_type,
+    reference_equal,
+    reference_fold,
+    reference_parse,
+    reference_relabel_unique,
+    reference_tokenize,
+    type_exprs,
+)
 
 
 def el(name: str, dim: int = 2) -> Elementary:
@@ -289,6 +297,37 @@ class TestRelabel:
             assert len(set(elementary_systems(relabeled))) == len(labels)
         assert 100 < repeated < 400
 
+    def test_rebuild_equals_the_object_fold_reference(self):
+        # a type with a repeat is rebuilt over its unchecked flat tree; the
+        # fold over its objects is the reference, for type and provenance
+        rng = random.Random(4111)
+        checked = 0
+        for n in range(600):
+            text = render_type(random_type(rng, max_systems=8, min_systems=2))
+            names = sorted({name for name in re.findall(r"[A-Z][A-Za-z0-9_]*", text) if name != "I"})
+            for step in range(rng.randint(1, 3)):
+                a, b = rng.sample(names, 2)
+                # b becomes a repeat of a, or later a name a fresh one must skip
+                text = re.sub(rf"\b{b}\b", rng.choice([a, f"{a}1", f"{a}2"]) if step else a, text)
+            names = set(re.findall(r"[A-Z][A-Za-z0-9_]*", text)) - {"I"}
+            x = parse_type(text, {name: 3 for name in names if n % 2 and rng.random() < 0.3})
+            labels = [node.label.name for node in x.walk() if isinstance(node, Elementary)]
+            if len(set(labels)) == len(labels):
+                continue
+            assert relabel_unique(x) == reference_relabel_unique(x)
+            checked += 1
+        assert checked >= 500
+
+    def test_deep_rebuild_equals_the_object_fold_reference(self):
+        # (A->B) under 5000 bars, then one repeat of A
+        x = Arrow(el("A"), el("B"))
+        for _ in range(5000):
+            x = bar(x)
+        x = Arrow(x, el("A", 3))
+        relabeled, mapping = relabel_unique(x)
+        assert mapping == {"A1": "A"}
+        assert (relabeled, mapping) == reference_relabel_unique(x)
+
 
 class TestElementarySystems:
     def test_textual_order(self):
@@ -400,18 +439,18 @@ class TestIoPartition:
 
 class TestTreeFolds:
     def test_tree_folds_equal_object_folds(self):
-        # lambda and both class counts fold over the flat tree; the object
-        # fold of the rebuilders is the reference
+        # lambda and both class counts fold over the flat tree; the fold
+        # over the type's objects is the reference
         rng = random.Random(2718)
         tables = [(2,), (3,), (2, 3), (2, 3, 5)]
         types = [random_type(rng, max_systems=9, dims=tables[n % 4]) for n in range(400)]
         types.append(parse_type("((A->B)->(C->D))*~(E->I)", {"A": 3, "C": 3, "E": 3}))
         squares = lambda a: (a.dimension**2 - 1, 1, a.dimension**2)  # noqa: E731
         for x in types:
-            num, den, _ = _fold(x, lambda a: (1, a.dimension, a.dimension), (1, 1, 1), _lambda_arrow)
+            num, den, _ = reference_fold(x, lambda a: (1, a.dimension, a.dimension), (1, 1, 1), _lambda_arrow)
             assert io_partition(x).lam == Fraction(num, den)
-            assert word_count(x) == _fold(x, lambda _: (1, 1, 2), (0, 1, 1), _count_arrow)[0]
-            assert basis_dimension(x) == _fold(x, squares, (0, 1, 1), _count_arrow)[0]
+            assert word_count(x) == reference_fold(x, lambda _: (1, 1, 2), (0, 1, 1), _count_arrow)[0]
+            assert basis_dimension(x) == reference_fold(x, squares, (0, 1, 1), _count_arrow)[0]
 
 
 class TestMinimalEnclosing:
@@ -500,7 +539,7 @@ class TestTreeMemo:
             x = parse_type("(A->B)*(C->D)")
             io_partition(x), signals(x, "A", "B"), minimal_enclosing(x, "A", "D")
             check_contraction(x, ContractionSpec.of([(Label("A"), Label("D"))])), crosscheck(x), hash(x)
-            assert {"_flat_tree", "_roles", "_base_classes", "_hash"} <= set(x.__dict__)
+            assert {"_flat_tree", "_name_order", "_base_classes", "_hash"} <= set(x.__dict__)
             alive = weakref.ref(x)
             del x
             assert alive() is None
