@@ -202,7 +202,7 @@ def _rename_labels(x: TypeExpr, mapping: dict[str, str]) -> TypeExpr:
     def rename(a: Label) -> TypeExpr:
         return Elementary(Label(mapping.get(a.name, a.name), a.dimension))
 
-    return _flat_tree(x).fold(rename, TRIVIAL, Arrow)
+    return _flat_tree(x).fold(rename, TRIVIAL, Arrow)[-1]
 
 
 def check_composition(x: TypeExpr, y: TypeExpr) -> Verdict:

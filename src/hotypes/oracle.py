@@ -48,7 +48,8 @@ class OperatorMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if canonical_universe(self.labels) != self.labels:
+        if any(a.name >= b.name for a, b in zip(self.labels, self.labels[1:])):
+            canonical_universe(self.labels)  # a repeated name raises DuplicateLabelError
             # the data layout is tied to the axis order, so reordering here
             # would silently permute the matrix
             raise ValueError("labels must be given in canonical (sorted) order")

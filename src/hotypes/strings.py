@@ -6,11 +6,12 @@ shift.  Sorted-name order (``_name_order``) only shows words: rendering,
 iteration and the smallest member.  Word sets are frozensets of masks, so
 every operation here is exact and exhaustive.  Every word over a subterm
 is in D_x, is the all-ones word, or is in the rest R_x, and one rule on
-these three classes serves every use: ``build_D`` builds D_x from the
-D and R sets of the sides, never a set larger than D_x, so its cost
-follows |D_x|; ``word_count`` counts D_x and ``_critical_word`` decides
-contraction from the classes, by one pass per type and climbs from the
-paired leaves per query, without building a set, at any label count.
+these three classes serves every use, each a pass over the arrays of the
+type's flat tree, with no recursion: ``build_D`` builds D_x from the D
+and R sets of the nodes it reads, never a set larger than D_x, so its
+cost follows |D_x|; ``word_count`` counts D_x and ``_critical_word``
+decides contraction from the classes, by one pass per type and climbs
+from the paired leaves per query, without building a set.
 ``critical_set_multi`` builds the obstruction set only to show it.  What
 enumerates counts its words first against ``WORD_BUDGET``.
 """
@@ -22,10 +23,7 @@ from functools import lru_cache
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .type_core import (
-    Arrow,
-    Elementary,
     Label,
-    Trivial,
     TypeExpr,
     _distinct_labels,
     _flat_tree,
@@ -157,7 +155,7 @@ def concat(j1: WordSet, j2: WordSet) -> WordSet:
     return WordSet(universe, masks)
 
 
-# --- the recursive word-set builder ------------------------------------------
+# --- the word-set builder -----------------------------------------------------
 #
 # Every word over a subterm x is in D_x, is the all-ones word e_x, or is in
 # the rest R_x.  By the classes of its halves (``_arrow_class``),
@@ -165,51 +163,57 @@ def concat(j1: WordSet, j2: WordSet) -> WordSet:
 #     R_{x->y} = (D_x ∪ {e_x}) (R_y ∪ {e_y}) \ {e_x e_y},
 # so a bar x->I swaps the two sets, and the tensor rule follows.
 
+_D, _E, _R = 1, 2, 4  # the three classes, as bits of a set of classes
+
+
 @lru_cache(maxsize=1024)
 def build_D(x: TypeExpr) -> WordSet:
     """The word set spanning the traceless part of deterministic maps of x.
 
-    A label gives {0} and I the empty set; arrows follow the three-class
-    rule above.  W_x is enumerated only when D_y is non-empty and R_y only
-    when R_x is, so no set larger than D_x is made and the cost follows
-    |D_x|, unbounded here: callers check ``word_count`` against the
-    budget first (``_check_words``).  The labels of the two sides must differ
-    (``DuplicateLabelError``).  Memoized per subterm.
+    Two passes over the flat tree of x.  From the root, mark the sets each
+    node's parent reads: D_{x->y} reads R_x, D_y, and R_y only when the
+    class counts give |R_x| > 0; R_{x->y} reads D_x and R_y.  From the
+    leaves, build only the marked sets, each over its labels in textual
+    order: a label gives D = {0} and R = {}, a subterm without labels two
+    empty sets, and a bar swaps the sets of its side.  So no set larger
+    than D_x is made and the cost follows |D_x|, unbounded here: callers
+    check ``word_count`` against the budget first (``_check_words``).  A
+    repeated label raises ``DuplicateLabelError``.  Cached per type only.
     """
-    if isinstance(x, Trivial):
-        return WordSet((), frozenset())
-    if isinstance(x, Elementary):
-        return WordSet((x.label,), frozenset({0}))
-    assert isinstance(x, Arrow)
-    if isinstance(x.right, Trivial):
-        return _rest(x.left)
-    rest_x, d_y = _rest(x.left), build_D(x.right)
-    universe, shift = _distinct_labels([*rest_x.universe, *d_y.universe]), len(rest_x.universe)
-    e_y = (1 << len(d_y.universe)) - 1
-    masks: set[int] = set()
-    if d_y.masks:
-        _join(masks, range(1 << shift), d_y.masks, shift)
-    if rest_x.masks:
-        _join(masks, rest_x.masks, _rest(x.right).masks | {e_y}, shift)
-    return WordSet(universe, frozenset(masks))
-
-
-def _rest(x: TypeExpr) -> WordSet:
-    """R_x, the words of x in neither D_x nor the all-ones word; not cached."""
-    if isinstance(x, Trivial):
-        return WordSet((), frozenset())
-    if isinstance(x, Elementary):
-        return WordSet((x.label,), frozenset())
-    assert isinstance(x, Arrow)
-    if isinstance(x.right, Trivial):
-        return build_D(x.left)
-    d_x, rest_y = build_D(x.left), _rest(x.right)
-    universe, shift = _distinct_labels([*d_x.universe, *rest_y.universe]), len(d_x.universe)
-    e_x, e_y = (1 << shift) - 1, (1 << len(rest_y.universe)) - 1
-    masks: set[int] = set()
-    _join(masks, d_x.masks | {e_x}, rest_y.masks | {e_y}, shift)
-    masks.discard(e_x | e_y << shift)
-    return WordSet(universe, frozenset(masks))
+    tree = _flat_tree(x)
+    left, right = tree.left, tree.right
+    counts = tree.fold(lambda _: (1, 1, 2), (0, 1, 1), _count_arrow)
+    width = [w.bit_length() - 1 for _, _, w in counts]  # labels per node
+    has_rest = [w > d + e for d, e, w in counts]
+    reads = [0] * (len(left) - 1) + [_D]  # _D and _R, the sets read at each node
+    for j in range(len(left) - 1, -1, -1):
+        l, r, read = left[j], right[j], reads[j]
+        if l != -1:
+            reads[l] |= (read & _D) << 2 | (read & _R) >> 2  # D reads R_x, R reads D_x
+            reads[r] |= read | (_R if read & _D and has_rest[l] else 0)
+    sets: list = [None] * len(left)  # (D, R) at each node, None where not read
+    for j, (l, r, read) in enumerate(zip(left, right, reads)):
+        if not read:
+            continue
+        if l == -1:
+            sets[j] = ({0} if width[j] else set()), set()
+        elif not width[r]:
+            sets[j] = sets[l][::-1]
+        else:
+            (d_x, rest_x), (d_y, rest_y) = sets[l], sets[r]
+            shift, e_x, e_y = width[l], (1 << width[l]) - 1, (1 << width[r]) - 1
+            d = rest = None
+            if read & _D:
+                d = set()
+                _join(d, range(1 << shift), d_y, shift)  # W_x is not enumerated when D_y is empty
+                if rest_x:
+                    _join(d, rest_x, rest_y | {e_y}, shift)
+            if read & _R:
+                rest = set()
+                _join(rest, d_x | {e_x}, rest_y | {e_y}, shift)
+                rest.discard(e_x | e_y << shift)
+            sets[j] = d, rest
+    return WordSet(tree.labels, frozenset(sets[-1][0]))
 
 
 def _join(masks: set[int], us: Collection[int], vs: Collection[int], shift: int) -> None:
@@ -235,7 +239,7 @@ def _count_arrow(left, right):
 def _class_count(x: TypeExpr, leaf) -> int:
     """The D count of the three-class fold, ``leaf(label)`` giving a
     label's (D, E, W) counts; a repeated label raises."""
-    return _flat_tree(x).fold(leaf, (0, 1, 1), _count_arrow)[0]
+    return _flat_tree(x).fold(leaf, (0, 1, 1), _count_arrow)[-1][0]
 
 
 def word_count(x: TypeExpr) -> int:
@@ -252,9 +256,6 @@ def word_count(x: TypeExpr) -> int:
 # classes is a 3-bit mask; under a cube of words (each label fixed to 0, to
 # 1, or free) a subterm reaches the classes its sides' combinations reach,
 # because every label occurs once and so the sides vary independently.
-
-_D, _E, _R = 1, 2, 4
-
 
 def _arrow_class(u: int, v: int) -> int:
     """Class of the word (u, v) over x->y from the classes of its halves."""
@@ -281,13 +282,8 @@ def _base_classes(x: TypeExpr) -> list[int]:
     output at 1, indexed by node; the state every critical-set pass starts
     from before it fixes its pairs."""
     tree = _flat_tree(x)
-    values = [_E] * len(tree.left)  # I is all-ones
-    for node, k in zip(tree.leaf_node, tree.k):
-        values[node] = _D | _E if k else _E
-    for j, (l, r) in enumerate(zip(tree.left, tree.right)):
-        if l != -1:
-            values[j] = _ARROW_CLASSES[values[l] << 3 | values[r]]
-    return values
+    base = [_D | _E if k else _E for k in tree.k]  # by textual position; I is all-ones
+    return tree.fold(lambda a: base[tree.index[a.name]], _E, lambda u, v: _ARROW_CLASSES[u << 3 | v])
 
 
 def _critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord | None:

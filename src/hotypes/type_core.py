@@ -15,7 +15,6 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 TRIVIAL_NAME = "I"
@@ -399,16 +398,17 @@ class _FlatTree(NamedTuple):
 
     def fold(self, leaf, trivial, arrow):
         """Evaluate the type bottom-up over the post-order arrays:
-        ``leaf(label)`` at each elementary system, ``trivial`` at I, and
-        ``arrow(left, right)`` on the values of the two sides of each
-        arrow."""
+        ``leaf(label)`` at each elementary system, in textual order,
+        ``trivial`` at I, and ``arrow(left, right)`` on the values of the
+        two sides of each arrow.  Returns every node's value, indexed by
+        node, so the type's own value is the last."""
         values = [trivial] * len(self.left)
         for label, node in zip(self.labels, self.leaf_node):
             values[node] = leaf(label)
         for j, (l, r) in enumerate(zip(self.left, self.right)):
             if l != -1:
                 values[j] = arrow(values[l], values[r])
-        return values[-1]
+        return values
 
 
 def _memo(x: TypeExpr, key: str, build):
@@ -532,7 +532,7 @@ def relabel_unique(x: TypeExpr) -> tuple[TypeExpr, dict[str, str]]:
         seen.add(label.name)
         return Elementary(label)
 
-    return tree.fold(rename, TRIVIAL, Arrow), provenance
+    return tree.fold(rename, TRIVIAL, Arrow)[-1], provenance
 
 
 # --- the K parity function and the input/output partition -------------------
@@ -574,22 +574,23 @@ class IoAnalysis:
         return tuple(a for a in self.elementary if a in self.outputs)
 
 
-def _lambda_arrow(left, right):
-    # lambda as a numerator and denominator cut by their gcd (a Fraction per
-    # arrow cost more than the rest of the analysis; unreduced, the terms of
-    # a tensor of 2000 channels grew peak RSS to 1.4 GB), with the total dimension
-    (num_x, den_x, dim_x), (num_y, den_y, dim_y) = left, right
-    num, den = num_y * den_x, den_y * dim_x * num_x
-    g = gcd(num, den)
-    return num // g, den // g, dim_x * dim_y
+def _exponent_arrow(left, right):
+    # for one dimension d: the exponent e of d in lambda and the number n of
+    # labels of dimension d, so lambda_y / (d_x lambda_x) has e_y - n_x - e_x
+    (e_x, n_x), (e_y, n_y) = left, right
+    return e_y - n_x - e_x, n_x + n_y
 
 
 def io_partition(x: TypeExpr) -> IoAnalysis:
     """Split Ele_x into inputs (K = 1) and outputs (K = 0) and compute lambda
     by the recursion lambda_E = 1/d_E, lambda_I = 1,
-    lambda_{x->y} = lambda_y / (d_x lambda_x)."""
+    lambda_{x->y} = lambda_y / (d_x lambda_x), as one fold per distinct
+    dimension of that dimension's exponent in lambda."""
     tree = _flat_tree(x)
-    num, den, _ = tree.fold(lambda a: (1, a.dimension, a.dimension), (1, 1, 1), _lambda_arrow)
+    num = den = 1
+    for d in {a.dimension for a in tree.labels}:
+        e, _ = tree.fold(lambda a, d=d: (-1, 1) if a.dimension == d else (0, 0), (0, 0), _exponent_arrow)[-1]
+        num, den = num * d ** max(e, 0), den * d ** max(-e, 0)
     return IoAnalysis(
         tree.labels,
         frozenset(tree.inputs()),

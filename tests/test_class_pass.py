@@ -23,15 +23,20 @@ from hotypes import (
     Label,
     Reason,
     Relation,
+    TRIVIAL,
     Verdict,
     bar,
+    build_D,
     check_composition,
     check_contraction,
+    check_equivalence,
+    check_inclusion,
     crosscheck,
     io_partition,
     parse_type,
     render_type,
     signals,
+    sample_deterministic,
     verify,
 )
 from hotypes.strings import _critical_word
@@ -196,6 +201,47 @@ class TestDeepInput:
         assert [a.name for a in verdict.result_in] == ["A"]
         assert [a.name for a in verdict.result_out] == ["C"]
         assert crosscheck(self.deep_channel())
+
+    def deep_inputs(self):
+        """(A->B) under 5000 bars, and 5000 arrows from I down to it."""
+        x = Arrow(Elementary(Label("A")), Elementary(Label("B")))
+        for _ in range(5000):
+            x = Arrow(TRIVIAL, x)
+        return [self.deep_channel(), x]
+
+    def test_word_sets_need_no_recursion(self):
+        for x in self.deep_inputs():
+            start = time.perf_counter()
+            assert sorted(build_D(x).masks) == [0, 1]  # as for A->B: B at 0, A free
+            assert check_inclusion(x, x).admissible
+            assert check_equivalence(x, x).admissible
+            assert sample_deterministic(x, seed=0).side == 4
+            report = verify(x, trials=2)
+            assert time.perf_counter() - start < 1.0
+            assert report.failures == 0
+            assert report.basis_size == 12
+
+    @pytest.mark.parametrize(
+        "text", ["~" * 5000 + "(A->B)", "I->" * 5000 + "(A->B)"], ids=["bars", "trivial-inputs"]
+    )
+    @pytest.mark.parametrize(
+        "command,key,expected",
+        [
+            (["analyze"], "outputs", ["B"]),
+            (["check", "inclusion"], "verdict", {
+                "admissible": True, "reason": "ok", "witness": None, "result_in": ["A"], "result_out": ["B"],
+            }),
+            (["oracle", "verify", "--trials", "2"], "failures", 0),
+        ],
+        ids=["analyze", "check-inclusion", "oracle-verify"],
+    )
+    def test_commands_answer_deep_input(self, capsys, command, key, expected, text):
+        argv = [*command, text, text] if command[0] == "check" else [*command, text]
+        start = time.perf_counter()
+        code = hotypes.cli.main(["--json", *argv])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)[key] == expected
 
 
 class TestPatternBudget:

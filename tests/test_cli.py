@@ -513,10 +513,22 @@ class TestReportStability:
         after.pop("timing_ms")
         assert before == after
 
-    def test_deep_nesting_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", "~" * 5000 + "A")
-        assert code == 2
-        assert "nests too deeply" in err
+    def test_deep_nesting_is_analyzed(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "~" * 5000 + "A")
+        assert (code, err) == (0, "")
+        assert out == (
+            f"type:    {'~' * 5000}A\nsystems: A(2)\ninputs:  {{}}\noutputs: {{A}}\n"
+            "lambda:  1/2\n|D|:     1\nD:       0_A\n"
+        )
+
+    def test_recursion_error_is_usage_error(self, capsys, monkeypatch):
+        # no command recurses on the type any more; the guard stays
+        def recurse(x):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(hotypes.cli, "word_count", recurse)
+        code, out, err = run_cli(capsys, "analyze", "A->B")
+        assert (code, out, err) == (2, "", "error: type nests too deeply\n")
 
     def test_closed_stdout_exits_2_without_traceback(self):
         read, write = os.pipe()

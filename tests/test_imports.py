@@ -4,7 +4,8 @@ nor the dense oracle.  ``__all__`` is the public API, and the README's
 import block runs against it.  The benchmark's layer tracer wraps package
 functions by name, so the names it lists must keep resolving.  Every
 other public definition in the package has a caller in ``src/`` or
-``scripts/``; helpers only tests use live in ``tests/conftest.py``."""
+``scripts/``; helpers only tests use live in ``tests/conftest.py``.  No
+function of the package reaches itself through plain-name calls."""
 
 from __future__ import annotations
 
@@ -175,3 +176,46 @@ def test_readme_library_block_runs():
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     assert "from hotypes import" in block
     exec(block, {})
+
+
+def plain_call_graph() -> dict[str, set[str]]:
+    """Each function or method of the package, by name, mapped to the
+    package functions it calls by a plain name (``f(...)``, not
+    ``obj.f(...)``); definitions that share a name share a node."""
+    defined: dict[str, set[str]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, set()).update(
+                    call.func.id
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                )
+    return {name: calls & defined.keys() for name, calls in defined.items()}
+
+
+def test_no_function_reaches_itself_by_plain_calls():
+    """Every structural computation runs on explicit stacks or flat
+    arrays, so no chain of plain-name calls in the package leads back to
+    where it started: a recursive call could raise ``RecursionError`` on a
+    deep type."""
+    graph = plain_call_graph()
+    assert {"build_D", "word_count", "io_partition"} <= graph.keys()
+    state: dict[str, int] = {}  # 1 while on the current path, 2 when finished
+    for start in graph:
+        if start in state:
+            continue
+        state[start] = 1
+        todo = [(start, iter(sorted(graph[start])))]  # the current path
+        while todo:
+            name, callees = todo[-1]
+            callee = next(callees, None)
+            if callee is None:
+                state[name] = 2
+                todo.pop()
+            elif state.get(callee) == 1:
+                path = [name for name, _ in todo]
+                raise AssertionError(" -> ".join(path[path.index(callee):] + [callee]))
+            elif callee not in state:
+                state[callee] = 1
+                todo.append((callee, iter(sorted(graph[callee]))))

@@ -768,8 +768,19 @@ class TestStringOperatorCompatibility:
 
 class TestOperatorUtilities:
     def test_labels_must_be_sorted(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="canonical"):
             OperatorMatrix((Label("B"), Label("A")), np.eye(4, dtype=complex))
+        with pytest.raises(DuplicateLabelError, match="'A'"):
+            OperatorMatrix((Label("A"), Label("A", 3)), np.eye(6, dtype=complex))
+
+    def test_sorted_labels_are_not_sorted_again(self, monkeypatch):
+        def refuse(labels):
+            raise AssertionError("canonical_universe called on sorted labels")
+
+        monkeypatch.setattr(hotypes.oracle, "canonical_universe", refuse)
+        labels = (Label("A"), Label("B", 3), Label("C"))
+        assert OperatorMatrix(labels, np.eye(12, dtype=complex)).labels == labels
+        assert OperatorMatrix([], np.eye(1, dtype=complex)).labels == ()
 
     def test_partial_transpose_involution(self):
         x = parse_type("A->B")

@@ -25,7 +25,6 @@ from hotypes import (
     tensor,
 )
 from hotypes.strings import (
-    _rest,
     canonical_universe,
     concat,
     critical_set_multi,
@@ -248,10 +247,18 @@ class TestBuildD:
                 word_count(parse_type(text))
 
     def test_subterms_keep_no_tree(self):
+        # the type's own flat tree serves the whole build
         x = parse_type("((A->B)*(C->D))->(E*~F)")
         build_D(x)
+        assert "_flat_tree" in x.__dict__
         # I is one shared object, which other callers may have walked
-        assert not any("_flat_tree" in node.__dict__ for node in x.walk() if node is not TRIVIAL)
+        subterms = [node for node in x.walk() if node is not TRIVIAL and node is not x]
+        assert not any("_flat_tree" in node.__dict__ for node in subterms)
+
+    def test_cache_holds_whole_types(self):
+        build_D.cache_clear()
+        build_D(parse_type("*".join(f"(A{i}->B{i})" for i in range(10))))
+        assert build_D.cache_info().currsize == 1
 
     def test_all_ones_never_appears(self):
         rng = random.Random(31)
@@ -310,37 +317,38 @@ class TestThreeClassRule:
             yield bar(x) if n % 5 == 0 else x
 
     def test_rest_is_the_traceless_complement_of_D(self):
+        # R_x is D of the bar of x
         for x in self._types(53, 1200):
-            assert _rest(x) == complement_bar(reference_D(x))
+            assert build_D(bar(x)) == complement_bar(reference_D(x))
 
     @pytest.fixture
-    def built_sizes(self, monkeypatch):
-        """The size of every word set made while the test runs.  The cache
-        is cleared afterwards, since the sets it then holds are recorders."""
-        sizes: list[int] = []
+    def built_sets(self, monkeypatch):
+        """The per-node sets made while the test runs: build_D starts each
+        set of an arrow's D or R as an empty ``set()``, here a recorder;
+        the other nodes hold a label's {0} or share a side's set."""
+        made: list[set] = []
 
-        class Recording(WordSet):
-            def __init__(self, universe, masks=frozenset()):
-                super().__init__(universe, masks)
-                sizes.append(len(masks))
+        class Recording(set):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
 
-        monkeypatch.setattr(hotypes.strings, "WordSet", Recording)
-        yield sizes
-        build_D.cache_clear()
+        monkeypatch.setattr(hotypes.strings, "set", Recording, raising=False)
+        return made
 
-    def _largest_built(self, x, sizes: list[int]) -> tuple[int, int]:
+    def _largest_built(self, x, made: list[set]) -> tuple[int, int]:
         """The largest set a cold build_D(x) makes, and |D_x|."""
         build_D.cache_clear()
-        sizes.clear()
+        made.clear()
         d = build_D(x)
-        return max(sizes), len(d)
+        return max(map(len, made), default=0), len(d)
 
-    def test_no_set_is_larger_than_the_result(self, built_sizes):
+    def test_no_set_is_larger_than_the_result(self, built_sets):
         for x in self._types(59, 2000):
-            largest, size = self._largest_built(x, built_sizes)
+            largest, size = self._largest_built(x, built_sets)
             assert largest <= size, x
 
-    def test_no_set_is_larger_than_the_result_on_families(self, built_sizes):
+    def test_no_set_is_larger_than_the_result_on_families(self, built_sets):
         states = "*".join(f"A{i}" for i in range(20))
         chain = [f"A{i}" for i in range(16)]
         families = [
@@ -351,7 +359,7 @@ class TestThreeClassRule:
             "*".join(f"(A{i}->B{i})" for i in range(10)),
         ]
         for text in families:
-            largest, size = self._largest_built(parse_type(text), built_sizes)
+            largest, size = self._largest_built(parse_type(text), built_sets)
             assert largest <= size, text
 
 

@@ -39,7 +39,7 @@ from hotypes import (
 from hotypes import type_core
 from hotypes.oracle import basis_dimension
 from hotypes.strings import _count_arrow, word_count
-from hotypes.type_core import _lambda_arrow, _tokenize
+from hotypes.type_core import _tokenize
 
 from conftest import (
     random_type,
@@ -437,18 +437,24 @@ class TestIoPartition:
             assert flipped.outputs == forward.inputs
 
 
+def _lambda(left, right):
+    (lam_x, dim_x), (lam_y, dim_y) = left, right
+    return lam_y / (dim_x * lam_x), dim_x * dim_y
+
+
 class TestTreeFolds:
     def test_tree_folds_equal_object_folds(self):
         # lambda and both class counts fold over the flat tree; the fold
-        # over the type's objects is the reference
+        # over the type's objects is the reference, lambda by its recursion
+        # on exact fractions with the total dimension alongside
         rng = random.Random(2718)
         tables = [(2,), (3,), (2, 3), (2, 3, 5)]
         types = [random_type(rng, max_systems=9, dims=tables[n % 4]) for n in range(400)]
         types.append(parse_type("((A->B)->(C->D))*~(E->I)", {"A": 3, "C": 3, "E": 3}))
         squares = lambda a: (a.dimension**2 - 1, 1, a.dimension**2)  # noqa: E731
         for x in types:
-            num, den, _ = reference_fold(x, lambda a: (1, a.dimension, a.dimension), (1, 1, 1), _lambda_arrow)
-            assert io_partition(x).lam == Fraction(num, den)
+            lam, _ = reference_fold(x, lambda a: (Fraction(1, a.dimension), a.dimension), (Fraction(1), 1), _lambda)
+            assert io_partition(x).lam == lam
             assert word_count(x) == reference_fold(x, lambda _: (1, 1, 2), (0, 1, 1), _count_arrow)[0]
             assert basis_dimension(x) == reference_fold(x, squares, (0, 1, 1), _count_arrow)[0]
 
