@@ -1,7 +1,8 @@
 """Decision procedures over the string calculus.
 
-Type inclusion is a subset test on enumerated D sets, counted first against
-``strings.WORD_BUDGET``; equivalence adds the reverse test only when the
+Type inclusion is a subset test of D sets on truth tables over the
+smallest cube of words holding D_x, sized first against
+``strings.TABLE_BITS``; equivalence adds the reverse test only when the
 two sets differ in size.  Contraction and composition
 admissibility is emptiness of D_x against a critical set, decided
 without building either: the nodes of the type tree are sorted into
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
-from .strings import BitWord, _check_words, _critical_word, build_D, word_count
+from .strings import BitWord, _critical_word, _extra_word, word_count
 from .type_core import (
     Arrow,
     Elementary,
@@ -110,20 +111,19 @@ def check_inclusion(x: TypeExpr, y: TypeExpr) -> Verdict:
     """Is every deterministic map of x also one of y?
 
     Holds exactly when the label sets agree, the normalization scalars
-    agree, and D_x is a subset of D_y; otherwise the verdict carries a word
-    of D_x that falls outside D_y (or the mismatch reason).  Both sets
-    over ``WORD_BUDGET`` together raise ``ValueError`` before either is built.
+    agree, and D_x is a subset of D_y; otherwise the verdict carries the
+    smallest word of D_x that falls outside D_y (or the mismatch reason).
+    Neither set is built (``strings._extra_word``); tables over
+    ``TABLE_BITS`` raise ``ValueError`` before any is made.
     """
     ax, ay = io_partition(x), io_partition(y)
     if set(ax.elementary) != set(ay.elementary):
         return Verdict(False, Reason.LABEL_MISMATCH)
     if ax.lam != ay.lam:
         return Verdict(False, Reason.LAMBDA_MISMATCH)
-    _check_words(word_count(x) + word_count(y))
-    dx, dy = build_D(x), build_D(y)
-    extra = dx.difference(dy)
-    if extra.masks:
-        return Verdict(False, Reason.NOT_INCLUDED, witness=extra.min_word())
+    witness = _extra_word(x, y)
+    if witness is not None:
+        return Verdict(False, Reason.NOT_INCLUDED, witness=witness)
     return Verdict(
         True,
         Reason.OK,
@@ -138,7 +138,7 @@ def check_equivalence(x: TypeExpr, y: TypeExpr) -> Verdict:
     reverse test is skipped; otherwise D_x is a proper subset and the
     reverse test fails with its witness."""
     forward = check_inclusion(x, y)
-    if not forward.admissible or len(build_D(x)) == len(build_D(y)):
+    if not forward.admissible or word_count(x) == word_count(y):
         return forward
     return check_inclusion(y, x)
 

@@ -9,11 +9,12 @@ is in D_x, is the all-ones word, or is in the rest R_x, and one rule on
 these three classes serves every use, each a pass over the arrays of the
 type's flat tree, with no recursion: ``build_D`` builds D_x from the D
 and R sets of the nodes it reads, never a set larger than D_x, so its
-cost follows |D_x|; ``word_count`` counts D_x and ``_critical_word``
+cost follows |D_x|; ``word_count`` counts D_x; ``_critical_word``
 decides contraction from the classes, by one pass per type and climbs
-from the paired leaves per query, without building a set.
-``critical_set_multi`` builds the obstruction set only to show it.  What
-enumerates counts its words first against ``WORD_BUDGET``.
+from the paired leaves per query, and ``_extra_word`` inclusion on truth
+tables over the smallest cube of words holding D_x, neither building a
+set.  ``critical_set_multi`` builds the obstruction set only to show it.
+What enumerates counts its words first against ``WORD_BUDGET``.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from .type_core import (
     _name_order,
 )
 
-# Held words cost about 200 bytes each: on CPython 3.11 (x86-64), equivalence
-# of 12 channels with their reversed order (1.06 M words in both sets) grew
-# peak RSS by 210 MiB.  Inclusion of 13 channels (3.2 M words) is admitted.
+# Held words cost about 200 bytes each (CPython 3.11, x86-64), so the 4.2 M
+# words of 2^22 take about 800 MiB.
 WORD_BUDGET = 1 << 22
 
 
@@ -93,12 +93,8 @@ class WordSet:
 
     def __iter__(self) -> Iterator[BitWord]:
         """Members in sorted-name lexicographic order (0 < 1)."""
-        return (BitWord(self.universe, m) for m in sorted(self.masks, key=self._lex_key()))
-
-    def _lex_key(self):
-        """Sort key of masks for sorted-name lexicographic order."""
         order = _name_order(self.universe)
-        return lambda mask: [(mask >> i) & 1 for i in order]
+        return (BitWord(self.universe, m) for m in sorted(self.masks, key=lambda m: [m >> i & 1 for i in order]))
 
     def _aligned(self, universe: tuple[Label, ...], masks: Iterable[int]) -> frozenset[int]:
         """Masks over ``universe``, this set's labels in any order, moved
@@ -124,18 +120,6 @@ class WordSet:
     def __contains__(self, word: BitWord) -> bool:
         same_labels = set(word.universe) == set(self.universe)
         return same_labels and self._aligned(word.universe, [word.bits]) <= self.masks
-
-    def difference(self, other: "WordSet") -> "WordSet":
-        return WordSet(self.universe, self.masks - self._aligned(other.universe, other.masks))
-
-    def min_word(self) -> BitWord:
-        """Lexicographically smallest member (sorted-name order, 0 < 1),
-        as a word over the canonical universe."""
-        if not self.masks:
-            raise ValueError("empty word set has no smallest word")
-        canonical = canonical_universe(self.universe)
-        (bits,) = WordSet(canonical)._aligned(self.universe, [min(self.masks, key=self._lex_key())])
-        return BitWord(canonical, bits)
 
     def render(self) -> list[str]:
         return [w.render() for w in self]
@@ -219,7 +203,10 @@ def build_D(x: TypeExpr) -> WordSet:
 def _join(masks: set[int], us: Collection[int], vs: Collection[int], shift: int) -> None:
     """Add the word u | v << shift for every u in us and v in vs to masks:
     one ``set.update`` over the larger side per word of the smaller one.
-    The two halves share no bit, so ``|`` joins them either way round."""
+    The two halves share no bit, so ``|`` joins them either way round.
+    An empty side returns before ``len`` of a wide ``W_x`` could overflow."""
+    if not us or not vs:
+        return
     if len(us) <= len(vs):
         shifted = [v << shift for v in vs]
         for u in us:
@@ -364,6 +351,103 @@ def _critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord
     if best is None:
         return None
     return BitWord(tuple(tree.labels[i] for i in order), sum(bit << r for r, bit in enumerate(best)))
+
+
+# --- inclusion on truth tables ---------------------------------------------------
+#
+# The same rule decides D_x ⊆ D_y on truth tables (after Bryant, 1986): over
+# a cube of 2^F words, a class of a node is an integer of 2^F bits.
+
+TABLE_BITS = 1 << 26  # bits per table, 8 MiB
+
+
+def _arrow_tables(x: tuple | None, y: tuple | None, full: int) -> tuple | None:
+    """The (D, E, R) tables of x->y by ``_arrow_class``, None being I."""
+    if x is None or y is None:  # I->y is y, and x->I swaps D and R
+        return y if x is None else x[::-1]
+    d, e = y[0] | x[2], x[1] & y[1]
+    return d, e, full ^ (d | e)
+
+
+def _d_table(x: TypeExpr, column, full: int) -> int:
+    """The table of D_x, given each label's ``column(name)``: the words
+    where it is 1.  Arrows are built larger side first, so at most
+    log2(nodes) wait for a sibling, and a column is made when its parent
+    reads it."""
+    tree = _flat_tree(x)
+    left, right, first = tree.left, tree.right, tree.first
+    name_at = {node: a.name for a, node in zip(tree.labels, tree.leaf_node)}
+    held: dict[int, tuple | None] = {}
+
+    def tables(j: int) -> tuple | None:
+        if left[j] != -1:
+            return held.pop(j)
+        if j not in name_at:
+            return None  # I
+        a = column(name_at[j])
+        return full ^ a, a, 0
+
+    todo, arrows = [len(left) - 1], []  # top-down, smaller side first
+    while todo:
+        j = todo.pop()
+        l, r = left[j], right[j]
+        if l != -1:
+            arrows.append(j)
+            todo += (l, r) if l - first[l] > r - first[r] else (r, l)
+    for j in reversed(arrows):
+        held[j] = _arrow_tables(tables(left[j]), tables(right[j]), full)
+    return tables(len(left) - 1)[0]
+
+
+def _extra_word(x: TypeExpr, y: TypeExpr) -> BitWord | None:
+    """The smallest word of D_x outside D_y in sorted-name order, or None;
+    y has the labels of x.  Tables over ``TABLE_BITS`` raise ``ValueError``
+    before any is made.
+
+    The tables span the smallest cube holding D_x: from the classes each
+    node reaches with every label free, those each node may take for the
+    root to be in D, exactly as every label occurs once; a label that may
+    be in D and in E is free.  A word of the cube is indexed by the free
+    labels in sorted-name order, the first most significant."""
+    tree = _flat_tree(x)
+    left, right = tree.left, tree.right
+    reach = tree.fold(lambda _: _D | _E, _E, lambda u, v: _ARROW_CLASSES[u << 3 | v])
+    if not reach[-1] & _D:
+        return None  # D_x is empty
+    allowed = [_D] * len(left)  # the root's; each other node's comes from its parent
+    for j in range(len(left) - 1, -1, -1):
+        l, r, a = left[j], right[j], allowed[j]
+        if l != -1:
+            allowed[l] = sum(u for u in (_D, _E, _R) if _ARROW_CLASSES[u << 3 | reach[r]] & a)
+            allowed[r] = sum(v for v in (_D, _E, _R) if _ARROW_CLASSES[reach[l] << 3 | v] & a)
+    # a label allowing D only is fixed at 0, E only at 1, both free (None)
+    fixed = [(None, 0, 1, None)[allowed[node] & (_D | _E)] for node in tree.leaf_node]
+    order = _memo(x, "_name_order", lambda x: _name_order(_flat_tree(x).labels))
+    free = [i for i in order if fixed[i] is None]
+    size = 1 << len(free)
+    if size > TABLE_BITS:
+        budget = TABLE_BITS.bit_length() - 1
+        raise ValueError(f"inclusion needs tables of 2^{len(free)} bits, over the budget of 2^{budget}")
+    full = (1 << size) - 1
+    shift = {i: len(free) - 1 - rank for rank, i in enumerate(free)}
+
+    def column(name: str) -> int:
+        i = tree.index[name]
+        if fixed[i] is not None:
+            return full * fixed[i]
+        run = 1 << shift[i]  # runs of 2^shift zeros and ones, doubled up to the size
+        table, width = ((1 << run) - 1) << run, 2 * run
+        while width < size:
+            table |= table << width
+            width *= 2
+        return table
+
+    extra = _d_table(x, column, full) & (full ^ _d_table(y, column, full))
+    if not extra:
+        return None
+    n = (extra & -extra).bit_length() - 1
+    bits = [fixed[i] if fixed[i] is not None else n >> shift[i] & 1 for i in order]
+    return BitWord(tuple(tree.labels[i] for i in order), sum(bit << r for r, bit in enumerate(bits)))
 
 
 # --- critical sets -----------------------------------------------------------

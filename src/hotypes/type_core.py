@@ -15,6 +15,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 TRIVIAL_NAME = "I"
@@ -585,7 +586,12 @@ def io_partition(x: TypeExpr) -> IoAnalysis:
     """Split Ele_x into inputs (K = 1) and outputs (K = 0) and compute lambda
     by the recursion lambda_E = 1/d_E, lambda_I = 1,
     lambda_{x->y} = lambda_y / (d_x lambda_x), as one fold per distinct
-    dimension of that dimension's exponent in lambda."""
+    dimension of that dimension's exponent in lambda.  Kept with x
+    (``_memo``), so its K map is read-only."""
+    return _memo(x, "_io_partition", _io_partition)
+
+
+def _io_partition(x: TypeExpr) -> IoAnalysis:
     tree = _flat_tree(x)
     num = den = 1
     for d in {a.dimension for a in tree.labels}:
@@ -595,7 +601,7 @@ def io_partition(x: TypeExpr) -> IoAnalysis:
         tree.labels,
         frozenset(tree.inputs()),
         frozenset(tree.outputs()),
-        dict(zip(tree.labels, tree.k)),
+        MappingProxyType(dict(zip(tree.labels, tree.k))),
         Fraction(num, den),
     )
 

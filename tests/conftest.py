@@ -2,7 +2,8 @@
 oracles the exact core is checked against.  The oracles are the
 paper-literal derivations: the arrow-only word-set recursion, the full
 and traceless sets and their complements, the all-ones word, word-set
-union, intersection and inclusion, word-set contraction, contraction
+union, intersection, difference and inclusion, the smallest word of a
+set, word-set contraction, contraction
 decided by the equivalent type inclusion, composition decided with
 explicit roles, full signalling as the admissibility of the reversed
 contraction on the dual, a dense product-basis builder, the per-word
@@ -228,6 +229,22 @@ def word_intersection(s: WordSet, t: WordSet) -> WordSet:
     """The words of s that are also in t, over the labels of s; t may
     order the same labels differently."""
     return WordSet(s.universe, s.masks & s._aligned(t.universe, t.masks))
+
+
+def word_difference(s: WordSet, t: WordSet) -> WordSet:
+    """The words of s that are not in t, over the labels of s; t may
+    order the same labels differently."""
+    return WordSet(s.universe, s.masks - s._aligned(t.universe, t.masks))
+
+
+def min_word(s: WordSet) -> BitWord:
+    """The smallest word of s in sorted-name order (0 < 1), over the
+    canonical universe."""
+    if not s.masks:
+        raise ValueError("empty word set has no smallest word")
+    canonical = canonical_universe(s.universe)
+    (bits,) = WordSet(canonical)._aligned(s.universe, [next(iter(s)).bits])
+    return BitWord(canonical, bits)
 
 
 def word_is_subset(s: WordSet, t: WordSet) -> bool:
@@ -468,7 +485,7 @@ def enumerated_critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) 
     pairs, by building both sets and intersecting them; None when they
     miss each other."""
     hits = word_intersection(build_D(x), critical_set_multi(x, pairs))
-    return hits.min_word() if hits.masks else None
+    return min_word(hits) if hits.masks else None
 
 
 def _reference_block(word: BitWord, labels: Sequence[Label]) -> tuple[slice, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,6 @@ from hotypes import (
     Reason,
     TRIVIAL,
     Verdict,
-    WordSet,
     bar,
     build_D,
     check_composition,
@@ -26,11 +26,13 @@ from hotypes import (
     parse_type,
     tensor,
 )
+from hotypes import admissibility
 from hotypes.admissibility import _rename_labels
 from hotypes.type_core import as_bar, as_tensor
-from hotypes.strings import WORD_BUDGET, critical_set_multi
+from hotypes.strings import TABLE_BITS, _d_table, critical_set_multi, word_count
 
 from conftest import (
+    min_word,
     random_type,
     random_type_with_io,
     reference_check_composition,
@@ -38,6 +40,7 @@ from conftest import (
     reference_D,
     supermap_inclusion_form,
     type_exprs,
+    word_difference,
 )
 
 
@@ -186,16 +189,19 @@ class TestCheckInclusion:
 
 class TestCheckEquivalence:
     def test_word_budget_is_checked_before_words_are_built(self, monkeypatch):
-        def refuse(x):
-            raise AssertionError("build_D called on word sets over the budget")
+        # the budget is on tables now; neither words nor tables are built
+        def refuse(*args):
+            raise AssertionError("word set or table built over the budget")
 
-        monkeypatch.setattr("hotypes.admissibility.build_D", refuse)
+        monkeypatch.setattr("hotypes.strings.build_D", refuse)
+        monkeypatch.setattr("hotypes.strings._d_table", refuse)
         text = "*".join(f"(A{i}->B{i})" for i in range(14))
         x = parse_type(text)
-        # 13 channels hold 2 (3^13 - 1) = 3188644 words and are admitted
-        assert 2 * (3**13 - 1) <= WORD_BUDGET < 2 * (3**14 - 1)
+        # every label of n channels is free in the cube of D_x, so 13
+        # channels need tables of 2^26 bits and are admitted, 14 of 2^28
+        assert TABLE_BITS == 1 << 26
         for check in (check_inclusion, check_equivalence):
-            with pytest.raises(ValueError, match=f"need {2 * (3**14 - 1)} words, over the budget"):
+            with pytest.raises(ValueError, match=r"^inclusion needs tables of 2\^28 bits, over the budget of 2\^26$"):
                 check(x, x)
             # mismatches are still answered first, from the labels and scalars
             assert check(x, parse_type(text.replace("B13", "C13"))).reason is Reason.LABEL_MISMATCH
@@ -290,9 +296,9 @@ def _reference_inclusion(x, y) -> Verdict:
         return Verdict(False, Reason.LABEL_MISMATCH)
     if ax.lam != ay.lam:
         return Verdict(False, Reason.LAMBDA_MISMATCH)
-    extra = reference_D(x).difference(reference_D(y))
+    extra = word_difference(reference_D(x), reference_D(y))
     if extra.masks:
-        return Verdict(False, Reason.NOT_INCLUDED, witness=extra.min_word())
+        return Verdict(False, Reason.NOT_INCLUDED, witness=min_word(extra))
     return Verdict(True, Reason.OK, result_in=ax.inputs_ordered(), result_out=ax.outputs_ordered())
 
 
@@ -341,8 +347,8 @@ class TestQueriesAgainstReferences:
 
     def test_equal_sizes_end_after_one_direction(self, monkeypatch):
         calls = []
-        difference = WordSet.difference
-        monkeypatch.setattr(WordSet, "difference", lambda *args: calls.append(args) or difference(*args))
+        extra_word = admissibility._extra_word
+        monkeypatch.setattr(admissibility, "_extra_word", lambda *args: calls.append(args) or extra_word(*args))
         channels = [f"(A{i}->B{i})" for i in range(7)]
         x = parse_type("*".join(channels))
         y = parse_type("*".join(random.Random(7).sample(channels, 7)))
@@ -351,8 +357,8 @@ class TestQueriesAgainstReferences:
 
     def test_a_proper_inclusion_runs_the_reverse_test(self, monkeypatch):
         calls = []
-        difference = WordSet.difference
-        monkeypatch.setattr(WordSet, "difference", lambda *args: calls.append(args) or difference(*args))
+        extra_word = admissibility._extra_word
+        monkeypatch.setattr(admissibility, "_extra_word", lambda *args: calls.append(args) or extra_word(*args))
         narrow = parse_type("((A->B)->(C->D))*(E->F)")
         wide = parse_type("((C*B)->(A*D))*(E->F)")
         assert check_inclusion(narrow, wide).admissible
@@ -360,6 +366,64 @@ class TestQueriesAgainstReferences:
         assert not verdict.admissible and verdict.witness is not None
         assert verdict == check_inclusion(wide, narrow)
         assert len(calls) == 4
+
+
+class TestInclusionTables:
+    """Inclusion on truth tables over the cube of D_x, against the word
+    sets of the arrow-only recursion and against the class counts."""
+
+    def test_seeded_pairs_against_the_word_sets(self):
+        rng = random.Random(2707)
+        reasons = {}
+        for n in range(3000):
+            dims = (2,) if n % 3 else (2, 3)
+            x = random_type(rng, max_systems=7, dims=dims)
+            if n % 4 == 0:
+                y = _rewritten(rng, x)
+            else:
+                size = len(elementary_systems(x))
+                y = _relabeled_like(rng, random_type(rng, max_systems=size, dims=dims, min_systems=size), x)
+            if n % 2:
+                x, y = y, x
+            got, want = check_inclusion(x, y), _reference_inclusion(x, y)
+            assert got.to_json() == want.to_json(), (x, y)
+            assert got.witness == want.witness, (x, y)
+            reasons[got.reason] = reasons.get(got.reason, 0) + 1
+        assert reasons[Reason.OK] > 500 and reasons[Reason.NOT_INCLUDED] > 200
+
+    def test_the_table_over_all_labels_counts_D(self):
+        rng = random.Random(2711)
+        for _ in range(300):
+            x = random_type(rng, max_systems=9, dims=(2, 3))
+            labels = elementary_systems(x)
+            size = 1 << len(labels)
+            full = (1 << size) - 1
+            columns = {a.name: sum(1 << n for n in range(size) if n >> i & 1) for i, a in enumerate(labels)}
+            table = _d_table(x, columns.__getitem__, full)
+            assert bin(table).count("1") == word_count(x), x
+
+    @pytest.mark.parametrize(
+        "size, shape",
+        [
+            (31, lambda names: f"(({'*'.join(names[:-1])})->I)*{names[-1]}"),  # |D| = 1
+            (1000, lambda names: f"({'*'.join(names)})->I"),  # D is empty
+            (1000, lambda names: f"(({'*'.join(names[:-1])})->I)*{names[-1]}"),  # |D| = 1
+        ],
+        ids=["sparse", "empty", "1000-labels"],
+    )
+    def test_large_types_with_small_cubes(self, size, shape):
+        names = [f"A{i}" for i in range(size)]
+        x, y = parse_type(shape(names)), parse_type(shape(names[-2::-1] + names[-1:]))
+        start = time.perf_counter()
+        assert check_equivalence(x, y).admissible
+        assert time.perf_counter() - start < 0.1
+
+    def test_twelve_channels_against_their_reversed_order(self):
+        channels = [f"(A{i}->B{i})" for i in range(12)]
+        x, y = parse_type("*".join(channels)), parse_type("*".join(channels[::-1]))
+        start = time.perf_counter()
+        assert check_equivalence(x, y).admissible
+        assert time.perf_counter() - start < 1
 
 
 def _disjoint(x, suffix: str = "_q"):

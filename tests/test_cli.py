@@ -128,6 +128,23 @@ class TestAnalyze:
 
 
 class TestCheck:
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (["oracle", "verify", f"({'*'.join(f'A{i}' for i in range(64))})->(B->I)"], "failures: 0"),
+            (["check", "inclusion", f"({'*'.join(f'A{i}' for i in range(64))})->I",
+              f"({'*'.join(f'A{i}' for i in range(63, -1, -1))})->I"], None),
+        ],
+        ids=["verify", "inclusion"],
+    )
+    def test_an_empty_side_beside_64_labels_answers(self, argv, last_line):
+        # a side of 64 labels joined to an empty set once overflowed in build_D
+        result = subprocess.run(
+            [sys.executable, "-m", "hotypes.cli", *argv], capture_output=True, text=True, env=child_env()
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert last_line is None or result.stdout.splitlines()[-1] == last_line
+
     def test_contraction_admissible(self, capsys):
         code, report = run_json(
             capsys, "check", "contraction", "(A->B)*(C->D)", "--pairs", "C:B"
@@ -174,15 +191,19 @@ class TestCheck:
         assert "error" in err
 
     def test_inclusion_over_the_word_budget_is_usage_error(self, capsys, monkeypatch):
-        def refuse(x):
-            raise AssertionError("build_D called on word sets over the budget")
+        # inclusion is refused on its table budget, before any table is built
+        def refuse(*args):
+            raise AssertionError("word set or table built over the budget")
 
-        monkeypatch.setattr("hotypes.admissibility.build_D", refuse)
+        monkeypatch.setattr("hotypes.strings.build_D", refuse)
+        monkeypatch.setattr("hotypes.strings._d_table", refuse)
         channels = "*".join(f"(A{i}->B{i})" for i in range(14))
         for command in ("inclusion", "equivalence"):
+            start = time.perf_counter()
             code, out, err = run_cli(capsys, "check", command, channels, channels)
+            assert time.perf_counter() - start < 0.5
             assert (code, out) == (2, "")
-            assert f"word sets need {2 * (3**14 - 1)} words, over the budget of 4194304" in err
+            assert err == "error: inclusion needs tables of 2^28 bits, over the budget of 2^26\n"
 
 
 class TestSignalling:
@@ -401,23 +422,25 @@ class TestOracleVerify:
 
 class TestBudgets:
     @pytest.mark.parametrize(
-        "module, budget, argv, refusal",
+        "module, budget, limit, enough, argv, refusal",
         [
-            ("strings", "WORD_BUDGET", ["check", "inclusion", "A->B", "A->B"],
-             "word sets need 4 words, over the budget of 3"),
-            ("strings", "PATTERN_BUDGET", ["check", "contraction", "(A->B)*(C->D)*(E->F)", "--pairs", "A:D,C:F"],
+            ("strings", "WORD_BUDGET", 7, 8, ["oracle", "verify", "(A->B)*(C->D)", "--trials", "2"],
+             "word sets need 8 words, over the budget of 7"),
+            ("strings", "TABLE_BITS", 8, 16, ["check", "inclusion", "(A->B)*(C->D)", "(C->D)*(A->B)"],
+             "inclusion needs tables of 2^4 bits, over the budget of 2^3"),
+            ("strings", "PATTERN_BUDGET", 2, 3,
+             ["check", "contraction", "(A->B)*(C->D)*(E->F)", "--pairs", "A:D,C:F"],
              "2 contraction pairs need 3 critical-set patterns; the budget is 2"),
-            ("oracle", "BASIS_BYTES", ["oracle", "verify", "(A->B)*(C->D)", "--pairs", "A:D"],
+            ("oracle", "BASIS_BYTES", 32767, 32768, ["oracle", "verify", "(A->B)*(C->D)", "--pairs", "A:D"],
              "dense operators need 32768 bytes, over the budget of 32767"),
         ],
-        ids=["words", "patterns", "bytes"],
+        ids=["words", "tables", "patterns", "bytes"],
     )
-    def test_each_budget_refuses_with_exit_2(self, capsys, monkeypatch, module, budget, argv, refusal):
-        limit = int(refusal.split()[-1])
+    def test_each_budget_refuses_with_exit_2(self, capsys, monkeypatch, module, budget, limit, enough, argv, refusal):
         monkeypatch.setattr(f"hotypes.{module}.{budget}", limit)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {refusal}\n")
-        monkeypatch.setattr(f"hotypes.{module}.{budget}", limit + 1)
+        monkeypatch.setattr(f"hotypes.{module}.{budget}", enough)
         assert run_cli(capsys, *argv)[0] == 0
 
 
@@ -460,9 +483,15 @@ class TestIntegerPrintLimit:
 
     @pytest.mark.parametrize("relation", ["inclusion", "equivalence"])
     def test_word_budget_names_a_power_of_two(self, capsys, few_printed_digits, relation):
-        # 2 (3^1400 - 1) words lie between 2^2219 and 2^2220
+        # inclusion's budget is on tables: all 2800 labels are free, so a
+        # table would hold 2^2800 bits
         err = self._refused(capsys, ["check", relation, self.CHANNELS, self.CHANNELS])
-        assert err == "error: word sets need more than 2^2219 words, over the budget of 4194304\n"
+        assert err == "error: inclusion needs tables of 2^2800 bits, over the budget of 2^26\n"
+
+    def test_word_budget_of_verify_names_a_power_of_two(self, capsys, few_printed_digits):
+        # 3^1400 - 1 words lie between 2^2218 and 2^2219
+        err = self._refused(capsys, ["oracle", "verify", self.CHANNELS])
+        assert err == "error: word sets need more than 2^2218 words, over the budget of 4194304\n"
 
     def test_counts_that_print_are_named_in_full(self, capsys, few_printed_digits):
         code, report = run_json(capsys, "analyze", "*".join(f"(A{i}->B{i})" for i in range(1300)))

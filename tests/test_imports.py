@@ -1,6 +1,7 @@
 """The package's import surface.  The exact core stays free of numerics:
 the type, word-set, decision and signalling modules import neither numpy
-nor the dense oracle.  ``__all__`` is the public API, and the README's
+nor the dense oracle, and the decision module builds no word set.
+``__all__`` is the public API, and the README's
 import block runs against it.  The benchmark's layer tracer wraps package
 functions by name, so the names it lists must keep resolving.  Every
 other public definition in the package has a caller in ``src/`` or
@@ -51,6 +52,14 @@ def test_core_module_imports_no_numerics(module):
     for name in imported_modules(module):
         for forbidden in FORBIDDEN:
             assert name != forbidden and not name.startswith(forbidden + "."), (module, name)
+
+
+def test_the_decision_layer_enumerates_no_words():
+    # inclusion runs on truth tables and contraction on classes, so the
+    # decision module names neither the word-set builder nor the set type
+    tree = ast.parse((PACKAGE / "admissibility.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not {"build_D", "WordSet"} & (_referenced_names(tree) | imported)
 
 
 def test_the_guard_sees_the_oracle_imports():

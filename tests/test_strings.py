@@ -220,6 +220,11 @@ class TestBuildD:
             "1_A0_B1_C1_D",
         }
 
+    def test_empty_side_beside_a_wide_one(self):
+        # W of the 63 labels left of an empty D is never enumerated, nor its length taken
+        x = parse_type("(" + "*".join(f"A{i}" for i in range(64)) + ")->I")
+        assert len(build_D(x)) == word_count(x) == 0
+
     def test_second_order_map_count(self):
         assert len(build_D(parse_type("(A->B)->(C->D)"))) == 10
 

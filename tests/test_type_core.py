@@ -427,6 +427,14 @@ class TestIoPartition:
         assert io_partition(x).lam == Fraction(1, 3 * 2**1999)
         assert time.perf_counter() - start < 1.0
 
+    def test_kept_with_the_type_and_read_only(self):
+        x = parse_type("(A->B)*(C->D)")
+        analysis = io_partition(x)
+        assert io_partition(x) is analysis
+        with pytest.raises(TypeError):
+            analysis.k[Label("A")] = 0
+        assert analysis.k == {Label("A"): 1, Label("B"): 0, Label("C"): 1, Label("D"): 0}
+
     def test_bar_flips_the_partition(self):
         rng = random.Random(13)
         for _ in range(200):
