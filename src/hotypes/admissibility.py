@@ -28,6 +28,7 @@ from .type_core import (
     TRIVIAL,
     TypeExpr,
     _flat_tree,
+    _memo,
     io_partition,
     tensor,
 )
@@ -180,12 +181,12 @@ def check_contraction(x: TypeExpr, spec: ContractionSpec) -> Verdict:
     if witness is not None:
         return Verdict(False, Reason.CRITICAL_SET, witness=witness)
     contracted = {name for pair in oriented for name in (pair[0].name, pair[1].name)}
-    tree = _flat_tree(x)
+    inputs, outputs = _memo(x, "_io_labels", lambda x: (_flat_tree(x).inputs(), _flat_tree(x).outputs()))
     return Verdict(
         True,
         Reason.OK,
-        result_in=tuple(a for a in tree.inputs() if a.name not in contracted),
-        result_out=tuple(a for a in tree.outputs() if a.name not in contracted),
+        result_in=tuple(a for a in inputs if a.name not in contracted),
+        result_out=tuple(a for a in outputs if a.name not in contracted),
     )
 
 

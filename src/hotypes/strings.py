@@ -7,21 +7,22 @@ iteration and the smallest member.  Word sets are frozensets of masks, so
 every operation here is exact and exhaustive.  Every word over a subterm
 is in D_x, is the all-ones word, or is in the rest R_x, and one rule on
 these three classes serves every use, each a pass over the arrays of the
-type's flat tree, with no recursion: ``build_D`` builds D_x from the D
-and R sets of the nodes it reads, never a set larger than D_x, so its
-cost follows |D_x|; ``word_count`` counts D_x; ``_critical_word``
-decides contraction from the classes, by one pass per type and climbs
-from the paired leaves per query, and ``_extra_word`` inclusion on truth
-tables over the smallest cube of words holding D_x, neither building a
-set.  ``critical_set_multi`` builds the obstruction set only to show it.
-What enumerates counts its words first against ``WORD_BUDGET``.
+type's flat tree, with no recursion: ``build_D`` makes each word of D_x
+once, in lists over the nodes it reads with each label at its own bit,
+none longer than D_x, so its cost follows |D_x|; ``word_count`` counts
+D_x; ``_critical_word`` decides contraction from the classes, by one
+pass per type and climbs from the paired leaves per query, and
+``_extra_word`` inclusion on truth tables over the smallest cube of
+words holding D_x, neither building a set.  ``critical_set_multi``
+builds the obstruction set only to show it.  What enumerates counts its
+words first against ``WORD_BUDGET``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .type_core import (
     Label,
@@ -32,8 +33,8 @@ from .type_core import (
     _name_order,
 )
 
-# Held words cost about 200 bytes each (CPython 3.11, x86-64), so the 4.2 M
-# words of 2^22 take about 800 MiB.
+# Building D_x peaks at about 100 bytes a word (96 to 113 by ru_maxrss in
+# fresh processes, CPython 3.11, x86-64), so 2^22 words take about 400 MiB.
 WORD_BUDGET = 1 << 22
 
 
@@ -143,9 +144,10 @@ def concat(j1: WordSet, j2: WordSet) -> WordSet:
 #
 # Every word over a subterm x is in D_x, is the all-ones word e_x, or is in
 # the rest R_x.  By the classes of its halves (``_arrow_class``),
-#     D_{x->y} = W_x D_y ∪ R_x (R_y ∪ {e_y}),
-#     R_{x->y} = (D_x ∪ {e_x}) (R_y ∪ {e_y}) \ {e_x e_y},
-# so a bar x->I swaps the two sets, and the tensor rule follows.
+#     D_{x->y} = W_x D_y ⊔ R_x R_y ⊔ R_x {e_y},
+#     R_{x->y} = D_x R_y ⊔ D_x {e_y} ⊔ {e_x} R_y,
+# unions of disjoint products of words at disjoint bits, so a bar x->I
+# swaps the two sets, the tensor rule follows, and no word is made twice.
 
 _D, _E, _R = 1, 2, 4  # the three classes, as bits of a set of classes
 
@@ -157,10 +159,11 @@ def build_D(x: TypeExpr) -> WordSet:
     Two passes over the flat tree of x.  From the root, mark the sets each
     node's parent reads: D_{x->y} reads R_x, D_y, and R_y only when the
     class counts give |R_x| > 0; R_{x->y} reads D_x and R_y.  From the
-    leaves, build only the marked sets, each over its labels in textual
-    order: a label gives D = {0} and R = {}, a subterm without labels two
-    empty sets, and a bar swaps the sets of its side.  So no set larger
-    than D_x is made and the cost follows |D_x|, unbounded here: callers
+    leaves, build only the marked sets, as lists of masks with each label
+    at its textual bit: a label gives D = [0] and R = [], a subterm without
+    labels two empty lists, and a bar swaps the lists of its side.  No word
+    is made twice, no list is longer than D_x, and each is dropped once its
+    parent is built, so the cost follows |D_x|, unbounded here: callers
     check ``word_count`` against the budget first (``_check_words``).  A
     repeated label raises ``DuplicateLabelError``.  Cached per type only.
     """
@@ -170,50 +173,55 @@ def build_D(x: TypeExpr) -> WordSet:
     width = [w.bit_length() - 1 for _, _, w in counts]  # labels per node
     has_rest = [w > d + e for d, e, w in counts]
     reads = [0] * (len(left) - 1) + [_D]  # _D and _R, the sets read at each node
+    low = [0] * len(left)  # each node's first bit: the labels left of it
     for j in range(len(left) - 1, -1, -1):
         l, r, read = left[j], right[j], reads[j]
         if l != -1:
             reads[l] |= (read & _D) << 2 | (read & _R) >> 2  # D reads R_x, R reads D_x
             reads[r] |= read | (_R if read & _D and has_rest[l] else 0)
+            low[l], low[r] = low[j], low[j] + width[l]
     sets: list = [None] * len(left)  # (D, R) at each node, None where not read
     for j, (l, r, read) in enumerate(zip(left, right, reads)):
         if not read:
             continue
         if l == -1:
-            sets[j] = ({0} if width[j] else set()), set()
+            sets[j] = ([0] if width[j] else []), []
         elif not width[r]:
             sets[j] = sets[l][::-1]
+        elif not width[l]:
+            sets[j] = sets[r]  # I->y is y
         else:
             (d_x, rest_x), (d_y, rest_y) = sets[l], sets[r]
-            shift, e_x, e_y = width[l], (1 << width[l]) - 1, (1 << width[r]) - 1
+            sets[l] = sets[r] = None
+            step, w = 1 << low[l], width[l]
+            e_x, e_y = (step << w) - step, (1 << (low[r] + width[r])) - (1 << low[r])
             d = rest = None
             if read & _D:
-                d = set()
-                _join(d, range(1 << shift), d_y, shift)  # W_x is not enumerated when D_y is empty
-                if rest_x:
-                    _join(d, rest_x, rest_y | {e_y}, shift)
+                d = list()
+                if w > 3:  # from 16 words of W_x on, a range per word of D_y is cheaper
+                    for v in d_y:
+                        d.extend(range(v, v + (step << w), step))
+                else:
+                    _product(d, range(0, step << w, step), d_y)
+                if rest_x:  # else R_y is not read
+                    _product(d, rest_x, rest_y)
+                    _product(d, rest_x, (e_y,))
             if read & _R:
-                rest = set()
-                _join(rest, d_x | {e_x}, rest_y | {e_y}, shift)
-                rest.discard(e_x | e_y << shift)
+                rest = list()
+                _product(rest, d_x, rest_y)
+                _product(rest, d_x, (e_y,))
+                _product(rest, (e_x,), rest_y)
             sets[j] = d, rest
     return WordSet(tree.labels, frozenset(sets[-1][0]))
 
 
-def _join(masks: set[int], us: Collection[int], vs: Collection[int], shift: int) -> None:
-    """Add the word u | v << shift for every u in us and v in vs to masks:
-    one ``set.update`` over the larger side per word of the smaller one.
-    The two halves share no bit, so ``|`` joins them either way round.
-    An empty side returns before ``len`` of a wide ``W_x`` could overflow."""
-    if not us or not vs:
-        return
-    if len(us) <= len(vs):
-        shifted = [v << shift for v in vs]
-        for u in us:
-            masks.update(map(u.__or__, shifted))
-    else:
-        for v in vs:
-            masks.update(map((v << shift).__or__, us))
+def _product(masks: list[int], us: Sequence[int], vs: Sequence[int]) -> None:
+    """Append u | v for every u in us and v in vs, the two at disjoint
+    bits, to masks, the shorter side outermost."""
+    if len(us) > len(vs):
+        us, vs = vs, us
+    for u in us:
+        masks += [u | v for v in vs] if u else vs
 
 
 def _count_arrow(left, right):
@@ -350,7 +358,8 @@ def _critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord
             values[:] = cube
     if best is None:
         return None
-    return BitWord(tuple(tree.labels[i] for i in order), sum(bit << r for r, bit in enumerate(best)))
+    universe = _memo(x, "_sorted_labels", lambda x: canonical_universe(_flat_tree(x).labels))
+    return BitWord(universe, sum(bit << r for r, bit in enumerate(best)))
 
 
 # --- inclusion on truth tables ---------------------------------------------------
@@ -447,7 +456,8 @@ def _extra_word(x: TypeExpr, y: TypeExpr) -> BitWord | None:
         return None
     n = (extra & -extra).bit_length() - 1
     bits = [fixed[i] if fixed[i] is not None else n >> shift[i] & 1 for i in order]
-    return BitWord(tuple(tree.labels[i] for i in order), sum(bit << r for r, bit in enumerate(bits)))
+    universe = _memo(x, "_sorted_labels", lambda x: canonical_universe(_flat_tree(x).labels))
+    return BitWord(universe, sum(bit << r for r, bit in enumerate(bits)))
 
 
 # --- critical sets -----------------------------------------------------------

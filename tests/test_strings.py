@@ -30,6 +30,7 @@ from hotypes.strings import (
     critical_set_multi,
     word_count,
 )
+from hotypes.type_core import _flat_tree
 
 from conftest import (
     all_ones,
@@ -328,30 +329,43 @@ class TestThreeClassRule:
 
     @pytest.fixture
     def built_sets(self, monkeypatch):
-        """The per-node sets made while the test runs: build_D starts each
-        set of an arrow's D or R as an empty ``set()``, here a recorder;
-        the other nodes hold a label's {0} or share a side's set."""
-        made: list[set] = []
+        """The per-node lists made while the test runs, and the length of
+        each list frozen: build_D starts each list of an arrow's D or R as
+        an empty ``list()``, here a recorder; the other nodes hold a
+        label's [0] or share a side's lists, and only the root's D is
+        frozen."""
+        made: list[list] = []
+        frozen: list[int] = []
 
-        class Recording(set):
+        class Recording(list):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append(self)
 
-        monkeypatch.setattr(hotypes.strings, "set", Recording, raising=False)
-        return made
+        def freeze(masks):
+            frozen.append(len(masks))
+            return frozenset(masks)
 
-    def _largest_built(self, x, made: list[set]) -> tuple[int, int]:
-        """The largest set a cold build_D(x) makes, and |D_x|."""
+        monkeypatch.setattr(hotypes.strings, "list", Recording, raising=False)
+        monkeypatch.setattr(hotypes.strings, "frozenset", freeze, raising=False)
+        return made, frozen
+
+    def _built(self, x, recorded) -> tuple[list[list], int]:
+        """The lists a cold build_D(x) makes, and |D_x|, after checking
+        that no list repeats a word or is longer than D_x and that the
+        root's list is frozen with exactly word_count(x) words."""
+        made, frozen = recorded
         build_D.cache_clear()
-        made.clear()
-        d = build_D(x)
-        return max(map(len, made), default=0), len(d)
+        made.clear(), frozen.clear()
+        size = len(build_D(x))
+        assert frozen == [size] and size == word_count(x), x
+        for masks in made:
+            assert len(set(masks)) == len(masks) <= size, x
+        return made, size
 
     def test_no_set_is_larger_than_the_result(self, built_sets):
         for x in self._types(59, 2000):
-            largest, size = self._largest_built(x, built_sets)
-            assert largest <= size, x
+            self._built(x, built_sets)
 
     def test_no_set_is_larger_than_the_result_on_families(self, built_sets):
         states = "*".join(f"A{i}" for i in range(20))
@@ -364,8 +378,11 @@ class TestThreeClassRule:
             "*".join(f"(A{i}->B{i})" for i in range(10)),
         ]
         for text in families:
-            largest, size = self._largest_built(parse_type(text), built_sets)
-            assert largest <= size, text
+            x = parse_type(text)
+            made, size = self._built(x, built_sets)
+            # all lists together hold at most twice the words of D_x on these
+            # families (the right-nested chain 2|D_x| - 2), besides a label's [0]
+            assert made and sum(map(len, made)) <= 2 * size + len(_flat_tree(x).left), text
 
 
 def _tensor_type(rng: random.Random, max_systems: int = 7):

@@ -553,7 +553,7 @@ class TestTreeMemo:
             x = parse_type("(A->B)*(C->D)")
             io_partition(x), signals(x, "A", "B"), minimal_enclosing(x, "A", "D")
             check_contraction(x, ContractionSpec.of([(Label("A"), Label("D"))])), crosscheck(x), hash(x)
-            assert {"_flat_tree", "_name_order", "_base_classes", "_hash"} <= set(x.__dict__)
+            assert {"_flat_tree", "_name_order", "_base_classes", "_io_labels", "_hash"} <= set(x.__dict__)
             alive = weakref.ref(x)
             del x
             assert alive() is None
