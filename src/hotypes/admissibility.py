@@ -3,13 +3,11 @@
 Type inclusion is a subset test of D sets on truth tables over the
 smallest cube of words holding D_x, sized first against
 ``strings.TABLE_BITS``; equivalence adds the reverse test only when the
-two sets differ in size.  Contraction and composition
-admissibility is emptiness of D_x against a critical set, decided
-without building either: the nodes of the type tree are sorted into
-three classes of words (in D, all-ones, neither) once per type, and each
-pair-bit pattern re-sorts only the paths from its paired leaves to the
-root, so a pattern costs O(depth) per pair and k pairs cost 2^k - 1
-patterns, refused above ``strings.PATTERN_BUDGET``.  Verdicts carry a
+two sets differ in size.  Contraction and composition admissibility is
+emptiness of D_x against a critical set, decided without building
+either: each pair-bit pattern gets a lane of the three classes of words
+(in D, all-ones, neither), all climbed at once from the paired leaves,
+and their bits are counted against the same budget.  Verdicts carry a
 machine-checkable witness whenever they reject: the smallest offending
 word in sorted-name order.
 """

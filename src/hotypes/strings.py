@@ -10,8 +10,8 @@ these three classes serves every use, each a pass over the arrays of the
 type's flat tree, with no recursion: ``build_D`` makes each word of D_x
 once, in lists over the nodes it reads with each label at its own bit,
 none longer than D_x, so its cost follows |D_x|; ``word_count`` counts
-D_x; ``_critical_word`` decides contraction from the classes, by one
-pass per type and climbs from the paired leaves per query, and
+D_x; ``_critical_word`` decides contraction on lanes of classes, one
+per pattern of pair bits, climbed from the paired leaves, and
 ``_extra_word`` inclusion on truth tables over the smallest cube of
 words holding D_x, neither building a set.  ``critical_set_multi``
 builds the obstruction set only to show it.  What enumerates counts its
@@ -152,7 +152,7 @@ def concat(j1: WordSet, j2: WordSet) -> WordSet:
 _D, _E, _R = 1, 2, 4  # the three classes, as bits of a set of classes
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1)
 def build_D(x: TypeExpr) -> WordSet:
     """The word set spanning the traceless part of deterministic maps of x.
 
@@ -165,7 +165,7 @@ def build_D(x: TypeExpr) -> WordSet:
     is made twice, no list is longer than D_x, and each is dropped once its
     parent is built, so the cost follows |D_x|, unbounded here: callers
     check ``word_count`` against the budget first (``_check_words``).  A
-    repeated label raises ``DuplicateLabelError``.  Cached per type only.
+    repeated label raises ``DuplicateLabelError``; only the last set is kept.
     """
     tree = _flat_tree(x)
     left, right = tree.left, tree.right
@@ -266,10 +266,15 @@ _ARROW_CLASSES = [
     for sy in range(8)
 ]
 
-# k contraction pairs cost 2^k - 1 cube passes.  At 62 labels a pattern
-# takes about 0.003 ms when it misses D_x and about 0.2 ms when it hits and
-# fixes its own witness, so 12 pairs stay under a second at worst.
-PATTERN_BUDGET = (1 << 12) - 1
+# Truth tables are integers of bits (after Bryant, 1986): inclusion counts the
+# 2^F bits of one table, contraction the 3 (2^k - 1) lane bits of every node.
+TABLE_BITS = 1 << 26  # 8 MiB
+
+
+def _arrow_lanes(u: int, v: int, one: int) -> int:
+    """``_ARROW_CLASSES`` on every lane whose D bit is set in ``one``:
+    D = D_y | R_x, E = E_x & E_y and R = D_x (E_y | R_y) | E_x R_y."""
+    return (v | u >> 2) & one | u & v & one << 1 | (u << 2 & (v << 1 | v) | u << 1 & v) & one << 2
 
 
 def _base_classes(x: TypeExpr) -> list[int]:
@@ -283,92 +288,78 @@ def _base_classes(x: TypeExpr) -> list[int]:
 
 def _critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -> BitWord | None:
     """The smallest word of D_x in the critical set of the (input, output)
-    pairs, or None when D_x misses it.
+    pairs, or None when D_x misses it: the ``min_word`` of ``build_D(x) ∩
+    critical_set_multi(x, pairs)`` without building either set.
 
-    Equal to the ``min_word`` of ``build_D(x) ∩ critical_set_multi(x,
-    pairs)`` without building either set.  Each pair-bit pattern other
-    than all ones fixes a cube: both labels of a pair at its bit, the other
-    outputs at 1, the other inputs free.  The classes reachable at each
-    node under no pair fixed are computed once per type (``_base_classes``,
-    kept with x); a call copies them and climbs from each paired leaf to
-    the root, stopping where a node's classes do not change, so a pattern
-    changes O(depth) nodes per pair.  A cube meets D_x when D is reachable
-    at the root.  Its smallest hit fixes the free inputs in sorted-name
-    order, 0 first while D stays reachable, climbing from each changed
-    leaf.  The witness is the smallest hit over all patterns.
+    Each pair-bit pattern p other than all ones fixes a cube (both labels of
+    a pair at its bit, the other outputs at 1, the other inputs free) and
+    owns a lane: bits 3p to 3p + 2 of a node's value, the classes it reaches
+    under p.  A call copies the base classes (``_base_classes``, kept with
+    x) onto every lane and climbs from each paired leaf while nodes change,
+    O(depth) nodes per pair; p hits when the root reaches D.  The witness
+    fixes the labels in sorted-name order, 0 first while some hit remains.
+    The 3 (2^k - 1) bits per node are counted against ``TABLE_BITS`` first.
     """
     tree, order = _flat_tree(x), _memo(x, "_name_order", lambda x: _name_order(_flat_tree(x).labels))
-    values = _memo(x, "_base_classes", _base_classes)[:]
-    patterns = (1 << len(pairs)) - 1
-    if patterns > PATTERN_BUDGET:
-        raise ValueError(
-            f"{len(pairs)} contraction pairs need {patterns} critical-set patterns; "
-            f"the budget is {PATTERN_BUDGET}"
-        )
-    pair_index = [(tree.index[a.name], tree.index[b.name]) for a, b in pairs]
     left, right, parent, leaf_node = tree.left, tree.right, tree.parent, tree.leaf_node
-    root = len(left) - 1
+    lanes = (1 << len(pairs)) - 1
+    need = 3 * lanes * len(left)
+    if need > TABLE_BITS:
+        shown = need if need.bit_length() <= 64 else f"more than 2^{(need - 1).bit_length() - 1}"
+        budget = TABLE_BITS.bit_length() - 1
+        raise ValueError(f"{len(pairs)} contraction pairs need {shown} table bits, over the budget of 2^{budget}")
+    base = _memo(x, "_base_classes", _base_classes)
+    one, columns, values = 1, [0], base[:]  # one pair: one lane, the class sets themselves
+    if lanes > 1:
+        columns = []  # the D bits of each pair's lanes at 1, doubled per pair
+        for n in range(len(pairs)):  # lane p + 2^n is lane p with pair n at 1
+            columns = [c | c << (3 << n) for c in columns] + [one << (3 << n)]
+            one |= one << (3 << n)
+        one ^= 1 << 3 * lanes  # all ones on the pairs, which the critical set leaves out
+        columns = [c & one for c in columns]
+        values = [v * one for v in base]
 
-    def set_leaf(i: int, classes: int) -> None:
+    # the arrays are bound as locals: this loop is the whole of a one-pair check
+    def set_leaf(i, value, values=values, left=left, right=right, parent=parent, wide=lanes > 1):
         node = leaf_node[i]
-        values[node] = classes
+        values[node] = value
         node = parent[node]
         while node != -1:
-            reached = _ARROW_CLASSES[values[left[node]] << 3 | values[right[node]]]
+            u, v = values[left[node]], values[right[node]]
+            reached = _arrow_lanes(u, v, one) if wide else _ARROW_CLASSES[u << 3 | v]
             if reached == values[node]:
                 return
             values[node] = reached
             node = parent[node]
 
-    # Gray-code order, one pair changing its bit per step, started so that
-    # all ones on the pairs, which the critical set leaves out, comes last
-    pattern = patterns >> 1
-    for n, pair in enumerate(pair_index):
-        for i in pair:
-            set_leaf(i, _E if pattern >> n & 1 else _D)
-    free = None  # the unpaired inputs in sorted-name order, once a cube hits
-    best = None
-    for step in range(patterns):
-        if step:
-            flip = (step & -step).bit_length() - 1
-            pattern ^= 1 << flip
-            for i in pair_index[flip]:
-                set_leaf(i, _E if pattern >> flip & 1 else _D)
-        if not values[root] & _D:
-            continue
-        if free is None:
-            paired = {i for pair in pair_index for i in pair}
-            free = [i for i in order if tree.k[i] and i not in paired]
-        bits = [1] * len(tree.labels)
-        for n, (a, b) in enumerate(pair_index):
-            bits[a] = bits[b] = pattern >> n & 1
-        for i in free:
-            bits[i] = 0
-        if best is not None and [bits[i] for i in order] >= best:
-            continue  # not even its free inputs all 0 would beat the best hit
-        cube = values[:] if step < patterns - 1 else None  # restored for the next pattern
-        for i in free:
-            set_leaf(i, _D)
-            if not values[root] & _D:
-                set_leaf(i, _E)
-                bits[i] = 1
-        word = [bits[i] for i in order]
-        best = word if best is None else min(best, word)
-        if cube is not None:
-            values[:] = cube
-    if best is None:
+    for pair, at_1 in zip(pairs, columns):
+        for a in pair:  # D on the lanes where its pair is at 0, E where at 1
+            set_leaf(tree.index[a.name], one ^ at_1 | at_1 << 1)
+    hit = values[-1] & one  # the patterns whose cube meets D_x
+    if not hit:
         return None
+    column = {tree.index[a.name]: at_1 for pair, at_1 in zip(pairs, columns) for a in pair}
+    bits = [1] * len(tree.labels)
+    for i in order:
+        if i in column:  # a pair at 0 if some hit allows it, fixed at its first label
+            if hit & column[i] != hit:
+                hit &= ~column[i]
+                bits[i] = 0
+        elif tree.k[i]:  # a free input: at 0 if some hit allows it
+            set_leaf(i, one)
+            if values[-1] & hit:
+                bits[i] = 0
+            else:
+                set_leaf(i, one << 1)
+            hit &= values[-1]
     universe = _memo(x, "_sorted_labels", lambda x: canonical_universe(_flat_tree(x).labels))
-    return BitWord(universe, sum(bit << r for r, bit in enumerate(best)))
+    return BitWord(universe, sum(bits[i] << r for r, i in enumerate(order)))
 
 
 # --- inclusion on truth tables ---------------------------------------------------
 #
 # The same rule decides D_x ⊆ D_y on truth tables (after Bryant, 1986): over
 # a cube of 2^F words, a class of a node is an integer of 2^F bits.
-
-TABLE_BITS = 1 << 26  # bits per table, 8 MiB
-
 
 def _arrow_tables(x: tuple | None, y: tuple | None, full: int) -> tuple | None:
     """The (D, E, R) tables of x->y by ``_arrow_class``, None being I."""

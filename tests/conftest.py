@@ -79,7 +79,6 @@ from hotypes.strings import (
     _ARROW_CLASSES,
     _D,
     _E,
-    PATTERN_BUDGET,
     _critical_word,
     canonical_universe,
     concat,
@@ -873,11 +872,6 @@ def reference_critical_word(x: TypeExpr, pairs: Sequence[tuple[Label, Label]]) -
     tree = _flat_tree(x)
     canonical = canonical_universe(tree.labels)
     patterns = (1 << len(pairs)) - 1
-    if patterns > PATTERN_BUDGET:
-        raise ValueError(
-            f"{len(pairs)} contraction pairs need {patterns} critical-set patterns; "
-            f"the budget is {PATTERN_BUDGET}"
-        )
     index = {a.name: i for i, a in enumerate(tree.labels)}
     pair_index = [(index[a.name], index[b.name]) for a, b in pairs]
     paired = {i for pair in pair_index for i in pair}

@@ -1,7 +1,7 @@
 """Contraction decided by the three-class pass over the type tree, checked
-against the enumerated critical-set intersection and against the pass
-from scratch, at sizes enumeration cannot reach, on deep input and at the
-pattern budget."""
+against the enumerated critical-set intersection and against the
+Gray-code pass from scratch, at sizes enumeration cannot reach, on deep
+input, on many pairs at once and at the table budget."""
 
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from hotypes import (
     sample_deterministic,
     verify,
 )
-from hotypes.strings import _critical_word
+from hotypes.strings import _ARROW_CLASSES, _D, _arrow_lanes, _base_classes, _critical_word
 from hotypes.type_core import _flat_tree
 from conftest import (
     enumerated_critical_word,
@@ -246,15 +246,26 @@ class TestDeepInput:
 
 class TestPatternBudget:
     def test_refusal_names_count_and_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(hotypes.strings, "PATTERN_BUDGET", 2)
+        # 19 nodes hold 3 (2^k - 1) lane bits each: 57 for one pair, 171 for two
         x = parse_type(channels(3))
+        assert len(_flat_tree(x).left) == 19
+        monkeypatch.setattr(hotypes.strings, "TABLE_BITS", 1 << 6)
         spec = ContractionSpec.from_text("A1:B0,A2:B1", x)
-        with pytest.raises(ValueError, match="need 3 critical-set patterns; the budget is 2"):
+        with pytest.raises(ValueError, match=r"^2 contraction pairs need 171 table bits, over the budget of 2\^6$"):
             check_contraction(x, spec)
         assert check_contraction(x, ContractionSpec.from_text("A1:B0", x)).admissible
         code, out, err = run_cli(capsys, "check", "contraction", channels(3), "--pairs", "A1:B0,A2:B1")
-        assert code == 2 and out == ""
-        assert "the budget is 2" in err
+        assert (code, out) == (2, "")
+        assert err == "error: 2 contraction pairs need 171 table bits, over the budget of 2^6\n"
+
+    def test_thousands_of_pairs_are_refused_by_a_power_of_two(self, capsys):
+        # 3 (2^4999 - 1) lane bits on each of 40k nodes: a count of 1510 digits
+        pairs = ",".join(f"A{i + 1}:B{i}" for i in range(4999))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", "contraction", channels(5000), "--pairs", pairs)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == "error: 4999 contraction pairs need more than 2^5015 table bits, over the budget of 2^26\n"
 
     def test_label_count_is_not_capped(self, capsys, no_word_sets):
         x = parse_type(channels(32))
@@ -264,6 +275,108 @@ class TestPatternBudget:
             assert (code, report["verdict"]["admissible"]) == (
                 (0, True) if relation is Relation.NO_SIGNALLING else (1, False)
             )
+
+
+def sequential(n: int) -> tuple:
+    """n channels A_i -> B_i, and n more B_i -> C_i after them."""
+    return parse_type(channels(n)), parse_type(channels(n).replace("B", "C").replace("A", "B"))
+
+
+def closed_loop(n: int) -> tuple:
+    """n channels A_i -> B_i, and n more feeding each B_i back into A_(i+1):
+    a composition of 2n pairs around one cycle."""
+    return parse_type(channels(n)), parse_type("*".join(f"(B{i}->A{(i + 1) % n})" for i in range(n)))
+
+
+class TestLanes:
+    """Every pair pattern in one pass on lanes, against the Gray-code pass
+    from scratch, which visits the patterns one at a time."""
+
+    def test_lane_rule_is_the_class_table_on_every_lane(self):
+        for u in range(1, 8):  # class sets are never empty
+            for v in range(1, 8):
+                assert _arrow_lanes(u, v, 1) == _ARROW_CLASSES[u << 3 | v], (u, v)
+        rng = random.Random(3100)
+        for _ in range(500):
+            lanes = rng.randint(2, 9)
+            us, vs = ([rng.randint(1, 7) for _ in range(lanes)] for _ in range(2))
+            kept = [p for p in range(lanes) if rng.random() < 0.8]  # lanes left out read 0
+            u, v = (sum(c << 3 * p for p, c in enumerate(cs)) for cs in (us, vs))
+            want = sum(_ARROW_CLASSES[us[p] << 3 | vs[p]] << 3 * p for p in kept)
+            assert _arrow_lanes(u, v, sum(1 << 3 * p for p in kept)) == want
+
+    def test_no_word_of_d_has_every_output_at_1(self):
+        # so the lane of every pair at 1, which the pass leaves out, could
+        # never hit: keeping it would change no answer
+        rng = random.Random(3102)
+        for _ in range(1000):
+            x = random_type(rng, max_systems=rng.randint(1, 16), dims=(2, 3))
+            assert not _base_classes(x)[-1] & _D, x
+
+    def test_the_lanes_held_are_the_lanes_counted(self, monkeypatch):
+        # every pattern but all ones, as counted against TABLE_BITS
+        ones = []
+
+        def recorded(u: int, v: int, one: int) -> int:
+            ones.append(one)
+            return _arrow_lanes(u, v, one)
+
+        monkeypatch.setattr(hotypes.strings, "_arrow_lanes", recorded)
+        for n in (2, 3, 5):
+            ones.clear()
+            x = parse_type(channels(n))
+            check_contraction(x, ContractionSpec.from_text(",".join(f"A{(i + 1) % n}:B{i}" for i in range(n)), x))
+            assert set(ones) == {sum(1 << 3 * p for p in range((1 << n) - 1))}
+
+    def test_seeded_multi_pair_specs_match_the_gray_code_pass(self):
+        # 300 specs of each pair count from 1 to 10, qubits and qutrits
+        rng = random.Random(3101)
+        hits = 0
+        for wanted in [k for _ in range(300) for k in range(1, 11)]:
+            pairs = []
+            while len(pairs) < wanted:
+                x = random_type(rng, max_systems=2 * wanted + 6, dims=(2, 2, 3), min_systems=2 * wanted)
+                analysis = io_partition(x)
+                ins, outs = list(analysis.inputs_ordered()), list(analysis.outputs_ordered())
+                rng.shuffle(ins)
+                pairs = []
+                for a in ins:
+                    partners = [b for b in outs if b.dimension == a.dimension]
+                    if partners and len(pairs) < wanted:
+                        b = rng.choice(partners)
+                        outs.remove(b)
+                        pairs.append((b, a) if rng.random() < 0.5 else (a, b))
+            spec = ContractionSpec.of(pairs)
+            verdict = check_contraction(x, spec)
+            assert verdict == _reference_contraction(x, spec), (x, spec)
+            hits += not verdict.admissible
+        assert 2000 < hits < 2900  # 2657: many pairs rarely miss D_x
+
+    @pytest.mark.parametrize(
+        "types, admissible",
+        [(sequential(13), True), (closed_loop(7), False), (closed_loop(8), False)],
+        ids=["sequential-13", "loop-7", "loop-8"],
+    )
+    def test_wide_compositions_match_the_gray_code_pass(self, monkeypatch, types, admissible):
+        verdict = check_composition(*types)
+        assert verdict.admissible is admissible
+        monkeypatch.setattr(hotypes.admissibility, "_critical_word", reference_critical_word)
+        assert verdict == check_composition(*types)
+
+    def test_compositions_past_twelve_pairs_answer(self):
+        for n in (13, 16):
+            start = time.perf_counter()
+            verdict = check_composition(*sequential(n))
+            assert time.perf_counter() - start < 0.3
+            assert verdict.admissible
+            assert [a.name for a in verdict.result_out] == [f"C{i}" for i in range(n)]
+        start = time.perf_counter()
+        loop = check_composition(*closed_loop(8))
+        assert time.perf_counter() - start < 0.3
+        assert loop.reason is Reason.CRITICAL_SET
+        assert loop.witness.bits == 0 and len(loop.witness.universe) == 32  # every wire at 0
+        with pytest.raises(ValueError, match="17 contraction pairs need .* table bits, over the budget of 2\\^26"):
+            check_composition(*sequential(17))
 
 
 def _reference_contraction(x, spec: ContractionSpec) -> Verdict:

@@ -428,9 +428,9 @@ class TestBudgets:
              "word sets need 8 words, over the budget of 7"),
             ("strings", "TABLE_BITS", 8, 16, ["check", "inclusion", "(A->B)*(C->D)", "(C->D)*(A->B)"],
              "inclusion needs tables of 2^4 bits, over the budget of 2^3"),
-            ("strings", "PATTERN_BUDGET", 2, 3,
+            ("strings", "TABLE_BITS", 128, 256,
              ["check", "contraction", "(A->B)*(C->D)*(E->F)", "--pairs", "A:D,C:F"],
-             "2 contraction pairs need 3 critical-set patterns; the budget is 2"),
+             "2 contraction pairs need 171 table bits, over the budget of 2^7"),
             ("oracle", "BASIS_BYTES", 32767, 32768, ["oracle", "verify", "(A->B)*(C->D)", "--pairs", "A:D"],
              "dense operators need 32768 bytes, over the budget of 32767"),
         ],

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from functools import reduce
 
 import pytest
@@ -34,6 +36,7 @@ from hotypes.type_core import _flat_tree
 
 from conftest import (
     all_ones,
+    child_env,
     complement_bar,
     complement_perp,
     contract_set,
@@ -265,6 +268,33 @@ class TestBuildD:
         build_D.cache_clear()
         build_D(parse_type("*".join(f"(A{i}->B{i})" for i in range(10))))
         assert build_D.cache_info().currsize == 1
+
+    def test_cache_does_not_hold_a_set_per_type(self):
+        # four distinct 12-channel types, 531440 words each, built in a
+        # fork of a fresh process: an exec'd process starts from its
+        # parent's peak RSS, a fork from its own
+        script = """
+import os, resource, sys
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+from hotypes import build_D, parse_type
+peaks = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]
+for prefix in "PQRS":
+    build_D(parse_type("*".join(f"({prefix}A{i}->{prefix}B{i})" for i in range(12))))
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+info = build_D.cache_info()
+print(info.currsize, info.maxsize, *peaks)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env(), timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        currsize, maxsize, start, *peaks = map(int, result.stdout.split())
+        assert currsize <= maxsize
+        # the second build runs beside the first set; later ones add no set
+        one_build = peaks[0] - start
+        assert peaks[1] - peaks[0] < one_build
+        assert peaks[3] - peaks[1] < one_build / 2
 
     def test_all_ones_never_appears(self):
         rng = random.Random(31)
